@@ -2,25 +2,17 @@
 //!
 //! ## On-disk format
 //!
-//! A bundle file is a single JSON object — an *envelope* around the
-//! serialized payload:
-//!
-//! ```json
-//! {
-//!   "format": "pmu-model-bundle",
-//!   "schema_version": 2,
-//!   "checksum": "9f86d081884c7d65",
-//!   "bundle": { "system": "ieee14", "detector": { ... }, ... }
-//! }
-//! ```
-//!
-//! The checksum is the FNV-1a digest of the `bundle` payload *exactly as
-//! rendered*. Verification re-serializes the reparsed payload and compares
-//! digests; this works because the vendored `serde_json` renders floats
-//! with shortest-roundtrip formatting, so parse→render is the identity on
-//! its own output. The same property gives the crate's headline guarantee:
+//! A bundle file is one line of JSON, an *envelope* around the payload:
+//! `{"format":"pmu-model-bundle","schema_version":4,"checksum":"9f86…",
+//! "bundle":{"system":"ieee14","detector":{…},…}}`. The checksum is the
+//! FNV-1a digest of the payload's bytes exactly as written; loading
+//! hashes those raw bytes and parses the payload once, never
+//! re-rendering it, so any edit to them (whitespace included) is a
+//! checksum failure. The vendored `serde_json` renders floats in
+//! shortest-roundtrip form, which gives the crate's headline guarantee:
 //! a reloaded `Detector`/`MlrDetector` is *bit-identical* to the one that
-//! was saved, hence so is every `Detection` it produces.
+//! was saved, hence so is every `Detection` it produces, and a re-save is
+//! byte-identical to the file.
 //!
 //! ## Schema versioning
 //!
@@ -40,6 +32,7 @@ use pmu_numerics::hash::Fnv1a;
 use pmu_obs::events::{BundleLoaded, BundleSaved};
 use pmu_sim::{Dataset, GenConfig};
 
+use crate::envelope::{malformed, Envelope};
 use crate::Result;
 
 /// Version of the bundle payload layout. Bump on any incompatible change
@@ -54,8 +47,12 @@ use crate::Result;
 /// config fields); 1 — initial layout.
 pub const SCHEMA_VERSION: u32 = 4;
 
-/// Magic string identifying bundle files.
-const FORMAT: &str = "pmu-model-bundle";
+/// The envelope bundle files are sealed in.
+pub(crate) const ENVELOPE: Envelope = Envelope {
+    format: "pmu-model-bundle",
+    schema_version: SCHEMA_VERSION,
+    payload_key: "bundle",
+};
 
 /// Typed failure modes of bundle (de)serialization and reuse.
 ///
@@ -252,10 +249,8 @@ impl ModelBundle {
         // The per-case basis depends on the detector configuration
         // (measurement kind, rank, decomposition path); compare the full
         // rendered config — the same canonical form the bundle key uses.
-        let cfg_now = serde_json::to_string(detector_cfg)
-            .map_err(|e| ModelError::Malformed(e.to_string()))?;
-        let cfg_prev = serde_json::to_string(&prev.detector_cfg)
-            .map_err(|e| ModelError::Malformed(e.to_string()))?;
+        let cfg_now = serde_json::to_string(detector_cfg).map_err(malformed)?;
+        let cfg_prev = serde_json::to_string(&prev.detector_cfg).map_err(malformed)?;
         if cfg_now != cfg_prev {
             return Err(ModelError::Incompatible {
                 what: "detector_cfg",
@@ -364,13 +359,7 @@ impl ModelBundle {
     /// [`ModelError::Malformed`] when a component refuses to serialize
     /// (non-finite floats in a trained model would be one way).
     pub fn to_json(&self) -> Result<String> {
-        let payload =
-            serde_json::to_string(self).map_err(|e| ModelError::Malformed(e.to_string()))?;
-        let checksum = fp_hex(pmu_numerics::hash::fnv1a(payload.as_bytes()));
-        Ok(format!(
-            "{{\"format\":\"{FORMAT}\",\"schema_version\":{SCHEMA_VERSION},\
-             \"checksum\":\"{checksum}\",\"bundle\":{payload}}}"
-        ))
+        ENVELOPE.seal(self)
     }
 
     /// Parse and verify an envelope produced by [`ModelBundle::to_json`].
@@ -381,35 +370,7 @@ impl ModelBundle {
     /// [`ModelError::ChecksumMismatch`] when the payload fails integrity
     /// verification.
     pub fn from_json(s: &str) -> Result<Self> {
-        let envelope: serde::Value =
-            serde_json::from_str(s).map_err(|e| ModelError::Malformed(e.to_string()))?;
-        match serde::obj_get(&envelope, "format") {
-            Ok(serde::Value::Str(f)) if f == FORMAT => {}
-            Ok(other) => {
-                return Err(ModelError::Malformed(format!("bad format marker: {other:?}")))
-            }
-            Err(e) => return Err(ModelError::Malformed(e.to_string())),
-        }
-        let found: u32 = serde::from_field(&envelope, "schema_version")
-            .map_err(|e| ModelError::Malformed(e.to_string()))?;
-        if found != SCHEMA_VERSION {
-            return Err(ModelError::SchemaMismatch { found, expected: SCHEMA_VERSION });
-        }
-        let stored: String = serde::from_field(&envelope, "checksum")
-            .map_err(|e| ModelError::Malformed(e.to_string()))?;
-        let payload = serde::obj_get(&envelope, "bundle")
-            .map_err(|e| ModelError::Malformed(e.to_string()))?;
-        // Re-render the reparsed payload: the vendored serde_json's float
-        // formatting is the shortest round-trip form, so rendering is the
-        // identity on its own output and the digest is reproducible.
-        let rendered =
-            serde_json::to_string(payload).map_err(|e| ModelError::Malformed(e.to_string()))?;
-        let computed = fp_hex(pmu_numerics::hash::fnv1a(rendered.as_bytes()));
-        if computed != stored {
-            return Err(ModelError::ChecksumMismatch { stored, computed });
-        }
-        use serde::Deserialize as _;
-        ModelBundle::from_value(payload).map_err(|e| ModelError::Malformed(e.to_string()))
+        ENVELOPE.open(s)
     }
 
     /// Write the bundle to `path` (envelope format), emitting a
@@ -493,13 +454,13 @@ fn key_from_parts(
         serde_json::to_string(detector_cfg),
         serde_json::to_string(mlr_cfg),
     ] {
-        h.write_str(&rendered.map_err(|e| ModelError::Malformed(e.to_string()))?);
+        h.write_str(&rendered.map_err(malformed)?);
     }
     Ok(h.finish())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pmu_detect::detector::default_config_for;
     use pmu_sim::generate_dataset;
@@ -510,7 +471,7 @@ mod tests {
         generate_dataset(&net, &cfg).unwrap()
     }
 
-    fn tiny_bundle() -> ModelBundle {
+    pub(crate) fn tiny_bundle() -> ModelBundle {
         let data = tiny_dataset();
         let gen = GenConfig { train_len: 8, test_len: 4, ..GenConfig::default() };
         let det_cfg = default_config_for(&data.network);

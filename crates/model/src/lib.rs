@@ -36,6 +36,7 @@
 #![deny(unsafe_code)]
 
 pub mod bundle;
+mod envelope;
 pub mod retry;
 pub mod snapshot;
 pub mod store;

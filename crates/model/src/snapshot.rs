@@ -5,28 +5,14 @@
 //! A [`SessionSnapshot`] is to a live streaming session what a
 //! [`ModelBundle`](crate::ModelBundle) is to a trained detector: a
 //! deterministic, integrity-checked serialization with enough provenance
-//! to make restoring it *safe*. The envelope shape is identical to the
-//! bundle's:
-//!
-//! ```json
-//! {
-//!   "format": "pmu-session-snapshot",
-//!   "schema_version": 1,
-//!   "checksum": "9f86d081884c7d65",
-//!   "session": { "grid": "east", "feed": "000000000000002a", ... }
-//! }
-//! ```
-//!
-//! The checksum is the FNV-1a digest of the `session` payload exactly as
-//! rendered; verification re-renders the reparsed payload (the vendored
-//! `serde_json` formats floats in shortest-roundtrip form, so
-//! parse→render is the identity on its own output). The payload embeds
-//! the detector-level [`StreamSnapshot`] plus the serving-level state
-//! (degraded-mode machine, ingestion counters) and the **network
-//! fingerprint of the bundle the session was running against** — a
-//! snapshot can only be restored into an engine serving the same
-//! topology, so a resurrected voting history can never be replayed
-//! against a stranger's detector.
+//! to make restoring it *safe*, sealed in the bundle's checksummed
+//! envelope under the `pmu-session-snapshot` marker and the `session`
+//! payload key. The payload embeds the detector-level [`StreamSnapshot`]
+//! plus the serving-level state (degraded-mode machine, ingestion
+//! counters) and the **network fingerprint of the bundle the session was
+//! running against** — a snapshot can only be restored into an engine
+//! serving the same topology, so a resurrected voting history can never
+//! be replayed against a stranger's detector.
 //!
 //! What is *not* here: the trained detector (it lives in the bundle) and
 //! any scoring-cache state (a pure memoization, re-derived on restore).
@@ -36,9 +22,9 @@
 use std::path::Path;
 
 use pmu_detect::stream::StreamSnapshot;
-use pmu_numerics::hash::fnv1a;
 
 use crate::bundle::{fp_hex, ModelError};
+use crate::envelope::Envelope;
 use crate::Result;
 
 /// Version of the session-snapshot payload layout. Bumped on any
@@ -52,8 +38,12 @@ use crate::Result;
 /// the `recent` outcome tags gained `"baddata"`; 1 — initial layout.
 pub const SESSION_SCHEMA_VERSION: u32 = 2;
 
-/// Magic string identifying session-snapshot files.
-const FORMAT: &str = "pmu-session-snapshot";
+/// The envelope session-snapshot files are sealed in.
+pub(crate) const ENVELOPE: Envelope = Envelope {
+    format: "pmu-session-snapshot",
+    schema_version: SESSION_SCHEMA_VERSION,
+    payload_key: "session",
+};
 
 /// One serving session's complete persistent state.
 ///
@@ -115,53 +105,16 @@ impl SessionSnapshot {
     /// # Errors
     /// [`ModelError::Malformed`] when a component refuses to serialize.
     pub fn to_json(&self) -> Result<String> {
-        let payload =
-            serde_json::to_string(self).map_err(|e| ModelError::Malformed(e.to_string()))?;
-        let checksum = fp_hex(fnv1a(payload.as_bytes()));
-        Ok(format!(
-            "{{\"format\":\"{FORMAT}\",\"schema_version\":{SESSION_SCHEMA_VERSION},\
-             \"checksum\":\"{checksum}\",\"session\":{payload}}}"
-        ))
+        ENVELOPE.seal(self)
     }
 
     /// Parse and verify an envelope produced by
     /// [`SessionSnapshot::to_json`].
     ///
     /// # Errors
-    /// [`ModelError::Malformed`] for unparseable input or a wrong
-    /// `format` marker, [`ModelError::SchemaMismatch`] for version skew,
-    /// [`ModelError::ChecksumMismatch`] when the payload fails integrity
-    /// verification.
+    /// As [`ModelBundle::from_json`](crate::ModelBundle::from_json).
     pub fn from_json(s: &str) -> Result<Self> {
-        let envelope: serde::Value =
-            serde_json::from_str(s).map_err(|e| ModelError::Malformed(e.to_string()))?;
-        match serde::obj_get(&envelope, "format") {
-            Ok(serde::Value::Str(f)) if f == FORMAT => {}
-            Ok(other) => {
-                return Err(ModelError::Malformed(format!("bad format marker: {other:?}")))
-            }
-            Err(e) => return Err(ModelError::Malformed(e.to_string())),
-        }
-        let found: u32 = serde::from_field(&envelope, "schema_version")
-            .map_err(|e| ModelError::Malformed(e.to_string()))?;
-        if found != SESSION_SCHEMA_VERSION {
-            return Err(ModelError::SchemaMismatch {
-                found,
-                expected: SESSION_SCHEMA_VERSION,
-            });
-        }
-        let stored: String = serde::from_field(&envelope, "checksum")
-            .map_err(|e| ModelError::Malformed(e.to_string()))?;
-        let payload = serde::obj_get(&envelope, "session")
-            .map_err(|e| ModelError::Malformed(e.to_string()))?;
-        let rendered =
-            serde_json::to_string(payload).map_err(|e| ModelError::Malformed(e.to_string()))?;
-        let computed = fp_hex(fnv1a(rendered.as_bytes()));
-        if computed != stored {
-            return Err(ModelError::ChecksumMismatch { stored, computed });
-        }
-        use serde::Deserialize as _;
-        SessionSnapshot::from_value(payload).map_err(|e| ModelError::Malformed(e.to_string()))
+        ENVELOPE.open(s)
     }
 
     /// Write the snapshot to `path` (envelope format).
@@ -192,10 +145,10 @@ impl SessionSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_snapshot() -> SessionSnapshot {
+    pub(crate) fn sample_snapshot() -> SessionSnapshot {
         SessionSnapshot {
             system: "ieee14".into(),
             network_fingerprint: fp_hex(0xDEAD_BEEF_u64),

@@ -28,7 +28,7 @@ use pmu_baseline::MlrConfig;
 use pmu_detect::DetectorConfig;
 use pmu_sim::{Dataset, GenConfig};
 
-use crate::bundle::{bundle_key, fp_hex, ModelBundle, ModelError, ReuseStats};
+use crate::bundle::{bundle_key, fp_hex, ModelBundle, ModelError, ReuseStats, ENVELOPE};
 use crate::Result;
 
 /// How [`ArtifactStore::load_or_train_outcome`] obtained its bundle.
@@ -306,10 +306,17 @@ impl ArtifactStore {
     }
 }
 
+/// The slice of a bundle payload a donor scan compares.
+#[derive(serde::Deserialize)]
+struct DonorView {
+    network_fingerprint: String,
+    detector_cfg: serde::Value,
+    case_fingerprints: Vec<String>,
+}
+
 /// Count how many of `case_fps` appear in the bundle file at `path`,
-/// requiring topology and detector-configuration equality. One JSON
-/// parse, no model deserialization; `None` means "not a usable donor"
-/// for any reason.
+/// requiring topology and detector-configuration equality. Rebuilds only
+/// the fingerprints and configuration; `None` means "not a usable donor".
 fn probe_overlap(
     path: &Path,
     net_fp: &str,
@@ -317,22 +324,13 @@ fn probe_overlap(
     case_fps: &std::collections::HashSet<String>,
 ) -> Option<usize> {
     let json = std::fs::read_to_string(path).ok()?;
-    let envelope: serde::Value = serde_json::from_str(&json).ok()?;
-    let version: u32 = serde::from_field(&envelope, "schema_version").ok()?;
-    if version != crate::bundle::SCHEMA_VERSION {
+    let donor: DonorView = ENVELOPE.open(&json).ok()?;
+    if donor.network_fingerprint != net_fp
+        || serde_json::to_string(&donor.detector_cfg).ok()? != cfg_now
+    {
         return None;
     }
-    let payload = serde::obj_get(&envelope, "bundle").ok()?;
-    let stored_net: String = serde::from_field(payload, "network_fingerprint").ok()?;
-    if stored_net != net_fp {
-        return None;
-    }
-    let stored_cfg = serde_json::to_string(serde::obj_get(payload, "detector_cfg").ok()?).ok()?;
-    if stored_cfg != cfg_now {
-        return None;
-    }
-    let fps: Vec<String> = serde::from_field(payload, "case_fingerprints").ok()?;
-    Some(fps.iter().filter(|fp| case_fps.contains(fp.as_str())).count())
+    Some(donor.case_fingerprints.iter().filter(|fp| case_fps.contains(fp.as_str())).count())
 }
 
 #[cfg(test)]
