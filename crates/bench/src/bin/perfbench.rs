@@ -67,7 +67,7 @@ use std::time::Instant;
 
 use pmu_baseline::MlrConfig;
 use pmu_detect::detector::default_config_for;
-use pmu_detect::{Detector, ScoringCache};
+use pmu_detect::{Detector, RestrictedBank, ScoringCache};
 use pmu_eval::figures::fig5;
 use pmu_eval::runner::{EvalScale, SystemSetup};
 use pmu_flow::{solve_ac, AcConfig, LinearSolver};
@@ -75,11 +75,19 @@ use pmu_model::{set_store_policy, ModelBundle, StorePolicy};
 use pmu_numerics::{par, Matrix, Svd};
 use pmu_serve::{Engine, EngineConfig, FeedKey, Fleet, FleetConfig, ServeError};
 use pmu_sim::missing::outage_endpoints_mask;
-use pmu_sim::{generate_dataset, Dataset, FaultKind, FaultSchedule, GenConfig, PhasorSample};
+use pmu_sim::{
+    generate_dataset, Dataset, FaultKind, FaultSchedule, GenConfig, MeasurementKind,
+    PhasorSample,
+};
 use serde::{Serialize, Value};
 
 /// Seed shared with `repro` so build timings measure the same work.
 const SEED: u64 = 0xC0FFEE;
+
+/// Single-sample stage-1 calls per `detect_throughput` timing pass:
+/// enough that the ieee118 row sits well above benchdiff's absolute
+/// floor, so a slower stage-1 kernel shows up as a regression.
+const STAGE1_CALLS: usize = 2_000;
 
 #[derive(Serialize)]
 struct MatmulTiming {
@@ -233,6 +241,10 @@ struct DetectThroughputTiming {
     reference_samples_per_sec: f64,
     /// reference / packed — > 1.0 means the packed path is faster.
     speedup: f64,
+    /// Stage 1 alone, in the serving shape: `STAGE1_CALLS` one-sample
+    /// calls against the full-observation projector bank — the first
+    /// thing every stream push pays. Total time, median of 3 passes.
+    stage1_ms: f64,
     /// Share of shortlisted rankings that pruned at least part of the
     /// exact stage-2 scoring (the top-3 guard plus the proximity-band
     /// component walk left some candidates unscored), from the
@@ -760,6 +772,17 @@ fn bench_detect_throughput(
         batch.iter().map(|s| detector.detect_reference(s)).collect();
     let reference_ms = t.elapsed().as_secs_f64() * 1e3;
 
+    // Stage 1 on its own, one sample per call as a stream push makes it.
+    let all_nodes: Vec<usize> = (0..n).collect();
+    let bank = RestrictedBank::build(detector.subspaces(), &all_nodes).expect("full bank");
+    let angles = data.normal_test.matrix(MeasurementKind::Angle);
+    let xs: Vec<_> = (0..angles.cols()).map(|t| angles.column(t)).collect();
+    let stage1_ms = time_median(3, || {
+        for x in xs.iter().cycle().take(STAGE1_CALLS) {
+            std::hint::black_box(bank.proximities_one(x).expect("stage-1 scoring"));
+        }
+    }) * 1e3;
+
     let off = detector.clone().with_shortlist(0, 1.0);
     let off_results = off.detect_batch_with_cache(&batch, &ScoringCache::new());
     let mut parity_ok = true;
@@ -795,17 +818,19 @@ fn bench_detect_throughput(
         reference_ms,
         reference_samples_per_sec: batch.len() as f64 / (reference_ms / 1e3),
         speedup: reference_ms / packed_ms,
+        stage1_ms,
         shortlist_hit_rate,
         parity_ok,
     };
     pmu_obs::info(&format!(
         "detect_throughput {name}: packed {:.2} ms ({:.0}/s), reference {:.2} ms \
-         ({:.0}/s), {:.1}x, shortlist hit-rate {:.2}, parity {}",
+         ({:.0}/s), {:.1}x, stage 1 {:.1} us/call, shortlist hit-rate {:.2}, parity {}",
         timing.packed_ms,
         timing.packed_samples_per_sec,
         timing.reference_ms,
         timing.reference_samples_per_sec,
         timing.speedup,
+        timing.stage1_ms * 1e3 / STAGE1_CALLS as f64,
         timing.shortlist_hit_rate,
         if timing.parity_ok { "OK" } else { "VIOLATED" }
     ));

@@ -393,7 +393,7 @@ impl Detector {
     ///
     /// Samples are grouped by missing-mask fingerprint; each group's
     /// stage-1 residuals against every learned subspace come from **one**
-    /// cache-blocked matmul over the packed projector bank, and the
+    /// pass over the mask's projector bank, and the
     /// per-sample ranking/localization tail fans out over the worker pool.
     /// Per-sample results are returned in input order and are bit-identical
     /// to calling [`Detector::detect_with_cache`] sample by sample.

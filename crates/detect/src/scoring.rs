@@ -9,8 +9,8 @@
 //! - [`RestrictedBank`] — every stage-1 subspace (normal `S⁰`, one per
 //!   outage case, one per-node intersection `S_i^∩`), row-restricted to a
 //!   fixed observed-node set, clamped exactly as the reference path
-//!   clamps, and packed into one [`ProjectorBank`] so a whole batch of
-//!   samples is scored with a single cache-blocked matmul. The
+//!   clamps, and grouped into one [`ProjectorBank`] so a sample is scored
+//!   against every subspace in a few vectorized loops. The
 //!   intersection blocks double as *score-unit* shortlist proxies for the
 //!   stage-2 pruning rule. The full-observation bank is precomputed at
 //!   training time and ships inside the model bundle.
@@ -157,7 +157,7 @@ impl RestrictedBank {
     /// Stage-1 proximities for a whole batch (`|observed| × n_samples`
     /// columns): returns `n_blocks × n_samples`, rows ordered as in
     /// [`Self::proximities_one`]. This is the packed hot path — one
-    /// cache-blocked matmul for the entire batch.
+    /// projector-bank call for the entire batch.
     ///
     /// # Errors
     /// Shape mismatches from the packed kernel.

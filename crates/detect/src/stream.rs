@@ -14,6 +14,7 @@ use crate::scoring::ScoringCache;
 use crate::Result;
 use pmu_sim::PhasorSample;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Voting configuration of the streaming wrapper.
 #[derive(Debug, Clone, Copy)]
@@ -150,14 +151,19 @@ pub struct StreamSnapshot {
 }
 
 /// A k-of-m voting wrapper around a trained [`Detector`].
+///
+/// The detector and its scoring cache are shared, not owned: every feed
+/// of one grid can hold the same trained model and the same per-mask
+/// memo (see [`StreamingDetector::with_cache`]), so a fleet pays for one
+/// copy of the model and one restriction pass per mask, not one per feed.
 #[derive(Debug)]
 pub struct StreamingDetector {
-    detector: Detector,
+    detector: Arc<Detector>,
     cfg: StreamConfig,
     /// Mask-keyed scoring memoization: PMU streams repeat the same
     /// missing-data masks sample after sample, so each restriction is
     /// paid once per mask instead of once per push.
-    cache: ScoringCache,
+    cache: Arc<ScoringCache>,
     /// Recent per-sample verdicts (newest at the back); `None` marks a
     /// sample the detector could not score — a vote-neutral window entry.
     history: VecDeque<Option<Detection>>,
@@ -181,15 +187,15 @@ impl StreamingDetector {
     /// # Panics
     /// Panics when `votes` is zero or exceeds `window` (a configuration
     /// programming error).
-    pub fn new(detector: Detector, cfg: StreamConfig) -> Self {
+    pub fn new(detector: impl Into<Arc<Detector>>, cfg: StreamConfig) -> Self {
         assert!(
             cfg.votes > 0 && cfg.votes <= cfg.window,
             "StreamConfig: need 0 < votes <= window"
         );
         StreamingDetector {
-            detector,
+            detector: detector.into(),
             cfg,
-            cache: ScoringCache::new(),
+            cache: Arc::default(),
             history: VecDeque::with_capacity(cfg.window),
             state: StreamState::Quiet,
             samples_seen: 0,
@@ -199,6 +205,15 @@ impl StreamingDetector {
             alarm_streak: 0,
             bad_data_samples: 0,
         }
+    }
+
+    /// Score through `cache` instead of a private one. The cache is a
+    /// pure memo keyed on the missing-data mask, so sharing it changes
+    /// latency, never verdicts — provided every sharer wraps the same
+    /// trained detector (the memo holds that detector's restrictions).
+    pub fn with_cache(mut self, cache: Arc<ScoringCache>) -> Self {
+        self.cache = cache;
+        self
     }
 
     /// The wrapped detector.
@@ -243,7 +258,7 @@ impl StreamingDetector {
     /// than the window, a counter mismatch (`missing_samples` or the
     /// history length exceeding `samples_seen`), or a quiet state that
     /// still names outaged lines.
-    pub fn restore(detector: Detector, snap: &StreamSnapshot) -> Result<Self> {
+    pub fn restore(detector: impl Into<Arc<Detector>>, snap: &StreamSnapshot) -> Result<Self> {
         let fail = |m: String| Err(crate::DetectError::InvalidSnapshot(m));
         if snap.votes == 0 || snap.votes > snap.window {
             return fail(format!(
@@ -282,9 +297,9 @@ impl StreamingDetector {
             StreamState::Quiet
         };
         Ok(StreamingDetector {
-            detector,
+            detector: detector.into(),
             cfg: StreamConfig { window: snap.window, votes: snap.votes },
-            cache: ScoringCache::new(),
+            cache: Arc::default(),
             history: snap.history.iter().cloned().collect(),
             state,
             samples_seen: snap.samples_seen,
@@ -501,6 +516,39 @@ mod tests {
         assert_eq!(raised, 1, "exactly one raise for a sustained event");
         assert!(matches!(mon.state(), StreamState::Outage { .. }));
         assert_eq!(mon.samples_seen(), 6);
+    }
+
+    #[test]
+    fn feeds_sharing_a_detector_and_cache_match_private_ones() {
+        let (data, mon) = monitor();
+        let det = Arc::clone(&mon.detector);
+        let cache = Arc::new(ScoringCache::new());
+        let cfg = StreamConfig::default();
+        let mut shared: Vec<StreamingDetector> = (0..2)
+            .map(|_| StreamingDetector::new(Arc::clone(&det), cfg).with_cache(Arc::clone(&cache)))
+            .collect();
+        let mut private: Vec<StreamingDetector> =
+            (0..2).map(|_| StreamingDetector::new((*det).clone(), cfg)).collect();
+        assert!(std::ptr::eq(shared[0].detector(), shared[1].detector()));
+        // Feed 0 rides an outage with its endpoints dark, feed 1 is quiet
+        // with everything observed: two different masks.
+        let case = &data.cases[2];
+        let dark = outage_endpoints_mask(data.network.n_buses(), case.endpoints);
+        for t in 0..8 {
+            let samples = [
+                case.test.sample(t % case.test.len()).masked(&dark),
+                data.normal_test.sample(t % data.normal_test.len()),
+            ];
+            for (f, sample) in samples.iter().enumerate() {
+                let a = shared[f].push(sample).unwrap();
+                let b = private[f].push(sample).unwrap();
+                assert_eq!(a, b, "feed {f} diverged at tick {t}");
+            }
+        }
+        // The one shared memo holds what the two private ones hold.
+        let private_banks: usize = private.iter().map(|m| m.cache.sizes().0).sum();
+        assert!(private_banks >= 1, "the dark mask needs a bank of its own");
+        assert_eq!(cache.sizes().0, private_banks);
     }
 
     #[test]

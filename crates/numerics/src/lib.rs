@@ -25,8 +25,8 @@
 //! - [`eigen`] — Jacobi eigensolver for symmetric matrices.
 //! - [`subspace`] — orthonormal subspaces: projection, residuals, unions,
 //!   intersections, principal angles.
-//! - [`packed`] — packed projector banks: batched subspace residuals via
-//!   one cache-blocked matmul (the detection hot path).
+//! - [`packed`] — projector banks: every subspace residual of a sample
+//!   from dimension-grouped, interleaved bases (the detection hot path).
 //! - [`sparse`] — compressed sparse row matrices, real and complex
 //!   (admittance matrices and NR Jacobians are ~99% zero at scale).
 //! - [`sparse_lu`] — sparse LU with RCM ordering and symbolic pattern

@@ -10,7 +10,7 @@ use crate::Result;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
 /// A dense row-major matrix of `f64`.
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -512,6 +512,25 @@ impl Matrix {
     }
 }
 
+impl serde::Deserialize for Matrix {
+    /// Rebuild a matrix from `{"rows", "cols", "data"}`, rejecting a
+    /// `data` length that disagrees with the declared shape (a shape whose
+    /// element count overflows `usize` included) — indexing would
+    /// otherwise go out of bounds on untrusted input.
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let rows: usize = serde::from_field(v, "rows")?;
+        let cols: usize = serde::from_field(v, "cols")?;
+        let data: Vec<f64> = serde::from_field(v, "data")?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::DeError::new(format!(
+                "Matrix: {} values for a {rows}x{cols} shape",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
@@ -712,6 +731,25 @@ mod tests {
         let m = Matrix::from_rows(2, 2, vec![3.0, 0.0, 0.0, -4.0]).unwrap();
         assert_eq!(m.norm_fro(), 5.0);
         assert_eq!(m.norm_max(), 4.0);
+    }
+
+    #[test]
+    fn deserialize_rejects_inconsistent_shapes() {
+        let m = Matrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(serde_json::from_str::<Matrix>(&json).unwrap(), m);
+        for bad in [
+            r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#,
+            r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0,4.0,5.0]}"#,
+            r#"{"rows":0,"cols":3,"data":[1.0]}"#,
+            // rows * cols overflows usize; must not wrap to a small count.
+            r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#,
+            r#"{"rows":9223372036854775807,"cols":2,"data":[1.0,2.0]}"#,
+        ] {
+            let err = serde_json::from_str::<Matrix>(bad).expect_err(bad).to_string();
+            assert!(err.contains("shape"), "{bad}: {err}");
+        }
+        assert!(serde_json::from_str::<Matrix>(r#"{"rows":3,"cols":0,"data":[]}"#).is_ok());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use pmu_detect::stream::{StreamConfig, StreamEvent, StreamingDetector};
@@ -246,7 +246,9 @@ pub struct EngineConfig {
 pub(crate) struct EngineCore {
     pub(crate) system: String,
     pub(crate) network_fingerprint: String,
-    pub(crate) detector: Detector,
+    /// Shared by every session of this core (and by the stateless
+    /// detect paths), so the model is held once per grid, not per feed.
+    pub(crate) detector: Arc<Detector>,
     pub(crate) stream_cfg: StreamConfig,
     pub(crate) degrade_cfg: DegradeConfig,
     pub(crate) incident_cfg: IncidentConfig,
@@ -254,10 +256,11 @@ pub(crate) struct EngineCore {
     /// prefix, so dump order is reconstructible from a directory
     /// listing).
     incident_seq: AtomicU64,
-    /// Scoring memoization shared by the stateless detect paths: masks
-    /// recur across batches, so per-mask restrictions are paid once per
-    /// engine instead of once per call.
-    cache: ScoringCache,
+    /// Scoring memoization shared by the stateless detect paths and
+    /// every session: masks recur across batches and feeds, so per-mask
+    /// restrictions are paid once per core instead of once per call or
+    /// per feed.
+    pub(crate) cache: Arc<ScoringCache>,
 }
 
 impl EngineCore {
@@ -266,19 +269,22 @@ impl EngineCore {
         EngineCore {
             system: bundle.system,
             network_fingerprint: bundle.network_fingerprint,
-            detector: bundle.detector,
+            detector: Arc::new(bundle.detector),
             stream_cfg: cfg.stream,
             degrade_cfg: cfg.degrade.clone(),
             incident_cfg: cfg.incident.clone(),
             incident_seq: AtomicU64::new(0),
-            cache: ScoringCache::new(),
+            cache: Arc::default(),
         }
     }
 
     /// A fresh session state wrapping a new monitor on this core's
-    /// detector and voting configuration.
+    /// detector, scoring cache and voting configuration.
     pub(crate) fn new_session(&self) -> SessionState {
-        SessionState::new(StreamingDetector::new(self.detector.clone(), self.stream_cfg))
+        SessionState::new(
+            StreamingDetector::new(Arc::clone(&self.detector), self.stream_cfg)
+                .with_cache(Arc::clone(&self.cache)),
+        )
     }
 
     /// The ingestion guard's pure check (no observation side effects).
@@ -655,7 +661,7 @@ impl Engine {
 
     /// Score a batch of independent samples through the packed stage-1
     /// path: samples sharing a missing-data mask are scored against every
-    /// learned subspace with one cache-blocked matmul, and the per-sample
+    /// learned subspace through one projector bank, and the per-sample
     /// ranking tail fans out on the workspace thread pool inside the
     /// detector. Results come back in input order; per-sample failures
     /// stay per-sample and match what [`Engine::detect`] would report.

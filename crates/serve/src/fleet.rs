@@ -39,7 +39,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use pmu_detect::stream::{StreamEvent, StreamingDetector};
@@ -589,8 +589,9 @@ impl Fleet {
         }
         let feed = snap.feed_id().map_err(|e| ServeError::Snapshot(e.to_string()))?;
         let key = FeedKey { grid, feed };
-        let monitor = StreamingDetector::restore(core.detector.clone(), &snap.stream)
-            .map_err(|e| ServeError::Snapshot(e.to_string()))?;
+        let monitor = StreamingDetector::restore(Arc::clone(&core.detector), &snap.stream)
+            .map_err(|e| ServeError::Snapshot(e.to_string()))?
+            .with_cache(Arc::clone(&core.cache));
         let state = SessionState::from_snapshot(monitor, snap).map_err(ServeError::Snapshot)?;
         self.install(key, state)?;
         pmu_obs::counter!("serve.sessions_restored").inc();
