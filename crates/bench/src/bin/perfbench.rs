@@ -23,7 +23,7 @@
 //!   7. model-bundle save/load per IEEE system at fast scale, with a
 //!      reload-parity verification (the loaded bundle must reproduce
 //!      the in-memory detections bit for bit),
-//!   8. `Engine::detect_batch` throughput over one sample per outage
+//!   8. `Fleet::detect_batch` throughput over one sample per outage
 //!      case,
 //!   9. packed-projector scoring throughput (`detect_throughput`): one
 //!      warm `detect_batch_with_cache` pass vs the retained per-line
@@ -73,7 +73,7 @@ use pmu_eval::runner::{EvalScale, SystemSetup};
 use pmu_flow::{solve_ac, AcConfig, LinearSolver};
 use pmu_model::{set_store_policy, ModelBundle, StorePolicy};
 use pmu_numerics::{par, Matrix, Svd};
-use pmu_serve::{Engine, EngineConfig, FeedKey, Fleet, FleetConfig, ServeError};
+use pmu_serve::{EngineConfig, FeedKey, Fleet, FleetConfig, GridId, ServeError};
 use pmu_sim::missing::outage_endpoints_mask;
 use pmu_sim::{
     generate_dataset, Dataset, FaultKind, FaultSchedule, GenConfig, MeasurementKind,
@@ -88,6 +88,10 @@ const SEED: u64 = 0xC0FFEE;
 /// enough that the ieee118 row sits well above benchdiff's absolute
 /// floor, so a slower stage-1 kernel shows up as a regression.
 const STAGE1_CALLS: usize = 2_000;
+
+/// Interleaved on/off pairs timed by `bench_robust_overhead` (odd, so
+/// the median ratio is one pair's).
+const ROBUST_PAIRS: usize = 9;
 
 #[derive(Serialize)]
 struct MatmulTiming {
@@ -216,7 +220,7 @@ struct EngineBatchTiming {
     system: String,
     /// Samples per batch (one test sample per outage case).
     batch: usize,
-    /// One `Engine::detect_batch` call over the batch.
+    /// One `Fleet::detect_batch` call over the batch.
     batch_ms: f64,
     samples_per_sec: f64,
     /// p99 of `serve.detect_latency_us` over one metrics-enabled pass
@@ -294,12 +298,13 @@ struct RobustOverheadTiming {
     /// replicated to keep the measurement above scheduler noise).
     batch: usize,
     /// Warm `detect_batch_with_cache` pass, bad-data screen on (the
-    /// production default).
+    /// production default); median over the interleaved pairs.
     screen_on_ms: f64,
-    /// The same batch with the screen disabled.
+    /// The same batch with the screen disabled; median over the pairs.
     screen_off_ms: f64,
-    /// (on − off) / off — what clean traffic pays for the screen's
-    /// residual gate. The screen itself only runs on anomalous samples.
+    /// Median over interleaved on/off pairs of (on − off) / off — what
+    /// clean traffic pays for the screen's residual gate. The screen
+    /// itself only runs on anomalous samples.
     overhead_pct: f64,
     /// `overhead_pct < 5.0` — clean traffic must not pay for the
     /// bad-data defense. Must always be `true`.
@@ -558,7 +563,7 @@ fn bench_builds_warm(
 }
 
 /// Train one fast-scale bundle per system, then time bundle save/load
-/// (with a reload-parity verification), `Engine::detect_batch`
+/// (with a reload-parity verification), `Fleet::detect_batch`
 /// throughput, and a chaos replay through a scripted fault schedule.
 /// One training run feeds all three benches.
 /// Everything `bench_model_serving` produces, in report order.
@@ -643,9 +648,10 @@ fn bench_model_serving(systems: &[String]) -> ServingBenches {
 
         let mut engine_cfg = EngineConfig::default();
         engine_cfg.incident.dir = Some(dir.join(format!("incidents-{name}")));
-        let mut engine = Engine::from_bundle(bundle, engine_cfg);
+        let mut fleet = Fleet::new(FleetConfig::default());
+        let grid = fleet.add_grid(name, bundle, &engine_cfg).expect("fresh grid name");
         let batch_ms = time_median(5, || {
-            std::hint::black_box(engine.detect_batch(&batch));
+            std::hint::black_box(fleet.detect_batch(grid, &batch));
         }) * 1e3;
         let samples_per_sec = batch.len() as f64 / (batch_ms / 1e3);
 
@@ -654,7 +660,7 @@ fn bench_model_serving(systems: &[String]) -> ServingBenches {
         // cannot bleed into this one's p99.
         pmu_obs::reset_metrics();
         pmu_obs::set_metrics_enabled(true);
-        std::hint::black_box(engine.detect_batch(&batch));
+        std::hint::black_box(fleet.detect_batch(grid, &batch));
         let detect_latency_p99_us =
             pmu_obs::metrics::histogram("serve.detect_latency_us").quantile(0.99);
         pmu_obs::set_metrics_enabled(false);
@@ -677,7 +683,7 @@ fn bench_model_serving(systems: &[String]) -> ServingBenches {
         // fast scale; the graceful-degradation contract is identical on
         // the smaller systems.
         if name != "ieee118" {
-            chaos.push(chaos_replay(name, &mut engine, &data));
+            chaos.push(chaos_replay(name, &fleet, grid, &data));
         }
     }
     (bundle_io, engine_batch, detect_throughput, robust_overhead, chaos)
@@ -689,6 +695,11 @@ fn bench_model_serving(systems: &[String]) -> ServingBenches {
 /// sample — the LNR scan and re-score only run on anomalous data — so
 /// the on/off delta must stay under 5%. The batch replicates the
 /// per-case samples so the measurement sits well above scheduler noise.
+///
+/// On and off are timed in back-to-back pairs, alternating which side
+/// runs first, and the gate reads the median of the per-pair ratios:
+/// host speed drifts on a shared machine, and timing all "on" runs
+/// before all "off" runs would count that drift as screen overhead.
 fn bench_robust_overhead(
     name: &str,
     detector: &Detector,
@@ -711,14 +722,31 @@ fn bench_robust_overhead(
     // Warm both mask-keyed bank caches before timing steady state.
     std::hint::black_box(on.detect_batch_with_cache(&batch, &cache_on));
     std::hint::black_box(off.detect_batch_with_cache(&batch, &cache_off));
-    let screen_on_ms = time_median(7, || {
-        std::hint::black_box(on.detect_batch_with_cache(&batch, &cache_on));
-    }) * 1e3;
-    let screen_off_ms = time_median(7, || {
-        std::hint::black_box(off.detect_batch_with_cache(&batch, &cache_off));
-    }) * 1e3;
-
-    let overhead_pct = 100.0 * (screen_on_ms - screen_off_ms) / screen_off_ms;
+    let time_ms = |detector: &Detector, cache: &ScoringCache| {
+        let t = Instant::now();
+        std::hint::black_box(detector.detect_batch_with_cache(&batch, cache));
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    let (mut on_ms, mut off_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..ROBUST_PAIRS {
+        let (on_pass, off_pass) = if pair % 2 == 0 {
+            let on_pass = time_ms(&on, &cache_on);
+            (on_pass, time_ms(&off, &cache_off))
+        } else {
+            let off_pass = time_ms(&off, &cache_off);
+            (time_ms(&on, &cache_on), off_pass)
+        };
+        on_ms.push(on_pass);
+        off_ms.push(off_pass);
+        ratios.push(on_pass / off_pass);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v[v.len() / 2]
+    };
+    let screen_on_ms = median(on_ms);
+    let screen_off_ms = median(off_ms);
+    let overhead_pct = 100.0 * (median(ratios) - 1.0);
     let timing = RobustOverheadTiming {
         system: name.to_string(),
         batch: batch.len(),
@@ -842,11 +870,7 @@ fn bench_detect_throughput(
 /// survives the dark window (the dark-window clearing regression) and
 /// the corruption burst (the bad-data screen excises instead of
 /// mislocalizing), timing the replay.
-fn chaos_replay(
-    name: &str,
-    engine: &mut Engine,
-    data: &Dataset,
-) -> ChaosTiming {
+fn chaos_replay(name: &str, fleet: &Fleet, grid: GridId, data: &Dataset) -> ChaosTiming {
     let case = &data.cases[0];
     // A corruption victim away from the outage endpoints (and the
     // reference bus), so the burst cannot mimic the outage signature.
@@ -878,8 +902,9 @@ fn chaos_replay(
         })
         .count();
 
-    let feed = engine.open_session();
-    let dumps_before = engine.incident_dumps_written();
+    let feed = FeedKey { grid, feed: 0 };
+    fleet.open_feed(feed).expect("fresh feed key");
+    let dumps_before = fleet.incident_dumps_written();
     let mut rejected = 0usize;
     let mut raised_before_blackout = false;
     let mut standing_after_blackout = true;
@@ -889,14 +914,14 @@ fn chaos_replay(
         // as a PDC-side ingest shim would, so the incident dumps the
         // replay triggers carry the ground-truth fault context.
         inj.record_faults(t);
-        let pushed = engine
+        let pushed = fleet
             .push_batch(&[(feed, inj.sample.clone())])
             .pop()
             .expect("one result per entry");
         if pushed.is_err() {
             rejected += 1;
         }
-        let active = engine.health(feed).is_some_and(|h| h.snapshot.active);
+        let active = fleet.health(feed).is_some_and(|h| h.snapshot.active);
         if t < 6 && active {
             raised_before_blackout = true;
         }
@@ -905,11 +930,11 @@ fn chaos_replay(
         }
     }
     let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (missing, bad_data_excised) = engine
+    let (missing, bad_data_excised) = fleet
         .health(feed)
         .map_or((0, 0), |h| (h.snapshot.missing_samples, h.snapshot.bad_data_samples));
-    let incident_dumps = (engine.incident_dumps_written() - dumps_before) as usize;
-    engine.close_session(feed);
+    let incident_dumps = (fleet.incident_dumps_written() - dumps_before) as usize;
+    fleet.close_feed(feed);
     let reraise_after_blackout = raised_before_blackout && standing_after_blackout;
     // The event rode out the corruption burst (covered by the 11..16
     // standing check above), and the screen never fired on more ticks

@@ -89,7 +89,7 @@ fn normalize_rows(out: &mut Matrix, codims: &[f64]) {
 /// `ci`, block `1 + n_cases + i` is node `i`'s intersection `S_i^∩`.
 /// Stored in the trained model for the full-observation mask and built on
 /// demand (then cached) for every other mask.
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 #[derive(Debug, Clone)]
 pub struct RestrictedBank {
     /// Ascending observed-node indices this bank is restricted to.
@@ -172,6 +172,36 @@ impl RestrictedBank {
             .map_err(|e| DetectError::InvalidTrainingData(e.to_string()))?;
         normalize_rows(&mut out, &self.codims);
         Ok(out)
+    }
+}
+
+impl serde::Deserialize for RestrictedBank {
+    /// Decode a bank from untrusted bytes. The shape fields are checked
+    /// against the packed bank before anything indexes through them: one
+    /// co-dimension per block, room for the normal block plus `n_cases`
+    /// case blocks, and a strictly ascending `observed` list with one node
+    /// per bank row.
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let observed: Vec<usize> = serde::from_field(v, "observed")?;
+        let bank: ProjectorBank = serde::from_field(v, "bank")?;
+        let codims: Vec<f64> = serde::from_field(v, "codims")?;
+        let n_cases: usize = serde::from_field(v, "n_cases")?;
+        let bad = |why: String| Err(serde::DeError::new(format!("RestrictedBank: {why}")));
+        let blocks = bank.n_blocks();
+        if codims.len() != blocks {
+            return bad(format!("{} codims for {blocks} blocks", codims.len()));
+        }
+        // `1 + n_cases > blocks`, written so a huge count cannot overflow.
+        if n_cases >= blocks {
+            return bad(format!("n_cases {n_cases} leaves no normal block in {blocks} blocks"));
+        }
+        if let Some(w) = observed.windows(2).find(|w| w[1] <= w[0]) {
+            return bad(format!("observed not strictly ascending at {} then {}", w[0], w[1]));
+        }
+        if observed.len() != bank.rows() {
+            return bad(format!("{} observed nodes for {} bank rows", observed.len(), bank.rows()));
+        }
+        Ok(RestrictedBank { observed, bank, codims, n_cases })
     }
 }
 
@@ -557,5 +587,71 @@ mod tests {
         let s3 = cache.node_scorers_for(8, || Ok(Vec::new())).unwrap();
         assert!(!Arc::ptr_eq(&s1, &s3));
         assert_eq!(cache.sizes(), (1, 2));
+    }
+
+    /// A serialized bank over nodes `0..14` minus node 5, and a decoder
+    /// that applies `edit` to one of its fields before decoding.
+    fn decode_edited(
+        field: &str,
+        edit: impl FnOnce(&mut serde::Value),
+    ) -> std::result::Result<RestrictedBank, String> {
+        use serde::{Deserialize, Serialize};
+        let (_, subs) = learned();
+        let observed: Vec<usize> = (0..14).filter(|&i| i != 5).collect();
+        let mut doc = RestrictedBank::build(&subs, &observed).unwrap().to_value();
+        let serde::Value::Obj(fields) = &mut doc else { panic!("a bank encodes as an object") };
+        let (_, value) = fields.iter_mut().find(|(k, _)| k == field).expect("field present");
+        edit(value);
+        RestrictedBank::from_value(&doc).map_err(|e| e.to_string())
+    }
+
+    fn arr(v: &mut serde::Value) -> &mut Vec<serde::Value> {
+        match v {
+            serde::Value::Arr(items) => items,
+            other => panic!("expected an array, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decode_accepts_an_unedited_bank() {
+        let bank = decode_edited("n_cases", |_| {}).unwrap();
+        assert_eq!(bank.observed().len(), 13);
+        assert!(bank.n_cases() < bank.n_blocks());
+    }
+
+    #[test]
+    fn decode_rejects_codims_that_miss_a_block() {
+        let err = decode_edited("codims", |v| {
+            arr(v).pop();
+        })
+        .unwrap_err();
+        assert!(err.contains("codims for"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_more_cases_than_blocks() {
+        let err = decode_edited("n_cases", |v| *v = serde::Value::Int(i64::MAX)).unwrap_err();
+        assert!(err.contains("leaves no normal block"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_unsorted_or_repeated_observed_nodes() {
+        let err = decode_edited("observed", |v| arr(v).swap(2, 3)).unwrap_err();
+        assert!(err.contains("strictly ascending"), "{err}");
+        let err = decode_edited("observed", |v| {
+            let items = arr(v);
+            items[3] = items[2].clone();
+        })
+        .unwrap_err();
+        assert!(err.contains("strictly ascending"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_observed_nodes_that_miss_a_row() {
+        let err = decode_edited("observed", |v| {
+            arr(v).pop();
+        })
+        .unwrap_err();
+        assert!(err.contains("observed nodes for"), "{err}");
     }
 }

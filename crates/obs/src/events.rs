@@ -241,8 +241,10 @@ impl SampleRejected {
 /// A serving session's degraded-mode state machine transitioned.
 #[derive(Debug, Clone)]
 pub struct FeedModeChanged {
-    /// Session slot the feed lives in.
-    pub session: usize,
+    /// Grid-qualified feed label (e.g. `"east.f7"`).
+    pub feed: String,
+    /// The feed's id within its grid.
+    pub feed_id: u64,
     /// Mode label left (`"healthy"` / `"degraded"` / `"dark"`).
     pub from: &'static str,
     /// Mode label entered.
@@ -253,7 +255,7 @@ pub struct FeedModeChanged {
 
 impl FeedModeChanged {
     /// Record the trace event, companion metrics and a flight-recorder
-    /// record (`a` = session slot, `b` = mode entered: 0 healthy,
+    /// record (`a` = feed id, `b` = mode entered: 0 healthy,
     /// 1 degraded, 2 dark).
     pub fn emit(&self) {
         counter!("serve.mode_transitions").inc();
@@ -271,11 +273,11 @@ impl FeedModeChanged {
                 0
             }
         };
-        record!(RecKind::Event, "serve.feed_mode", self.session, code);
+        record!(RecKind::Event, "serve.feed_mode", self.feed_id, code);
         event(
             "serve.feed_mode",
             &[
-                ("session", self.session.into()),
+                ("feed", Value::from(self.feed.as_str())),
                 ("from", Value::from(self.from)),
                 ("to", Value::from(self.to)),
                 ("reason", Value::from(self.reason)),
@@ -385,10 +387,11 @@ mod tests {
         StreamCleared { samples_seen: 50 }.emit();
         SampleRejected { reason: "non_finite" }.emit();
         SampleRejected { reason: "wrong_length" }.emit();
-        FeedModeChanged { session: 0, from: "healthy", to: "dark", reason: "missing_ratio" }
-            .emit();
-        FeedModeChanged { session: 0, from: "dark", to: "healthy", reason: "recovered" }
-            .emit();
+        for (from, to, reason) in
+            [("healthy", "dark", "missing_ratio"), ("dark", "healthy", "recovered")]
+        {
+            FeedModeChanged { feed: "east.f0".into(), feed_id: 0, from, to, reason }.emit();
+        }
         set_metrics_enabled(false);
 
         assert_eq!(crate::counter("flow.nr_solves").get(), 2);

@@ -1,13 +1,15 @@
-//! The **fleet engine**: many grids, many feeds, one process.
+//! The **fleet**: many grids, many feeds, one process — the crate's
+//! serving front-end. A single-grid deployment is a one-grid fleet.
 //!
 //! A [`Fleet`] hosts several trained bundles (one [`EngineCore`] per
 //! grid) and shards every open feed session across a fixed set of
-//! worker-aligned shards. Where the single-grid [`Engine`](crate::Engine)
-//! keeps one global slot table, the fleet keeps **one
+//! worker-aligned shards. It keeps **one
 //! [`SessionTable`](crate::session::SessionTable) per shard, each behind
 //! its own lock** — a push batch touches only the shards its feeds hash
 //! to, and distinct shards drain fully in parallel with zero lock
-//! contention between them.
+//! contention between them. Stateless scoring of independent samples
+//! goes through [`Fleet::detect_batch`], which shares the grid's
+//! detector and scoring cache with its feeds.
 //!
 //! ## Routing
 //!
@@ -43,6 +45,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use pmu_detect::stream::{StreamEvent, StreamingDetector};
+use pmu_detect::Detection;
 use pmu_model::{ModelBundle, SessionSnapshot};
 use pmu_numerics::hash::Fnv1a;
 use pmu_numerics::par;
@@ -50,7 +53,7 @@ use pmu_obs::metrics::{Gauge, Histogram};
 use pmu_sim::PhasorSample;
 
 use crate::engine::{EngineConfig, EngineCore, ServeError};
-use crate::session::{SessionHealth, SessionId, SessionState, SessionTable};
+use crate::session::{FeedTag, SessionHealth, SessionId, SessionState, SessionTable};
 
 /// Handle to one grid registered in a [`Fleet`] (index into the fleet's
 /// grid list; issued by [`Fleet::add_grid`], resolvable by name via
@@ -200,17 +203,6 @@ struct Route {
     sid: SessionId,
 }
 
-/// Grid-qualified feed name used in incident dumps and mode-change
-/// observations (e.g. `east.f7` — no `/`, it becomes part of a file
-/// name).
-struct FeedTag<'a>(&'a str, u64);
-
-impl std::fmt::Display for FeedTag<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.f{}", self.0, self.1)
-    }
-}
-
 /// A multi-grid serving fleet. See the [module docs](self).
 ///
 /// All serving-path methods take `&self`: the fleet is `Arc`-shareable
@@ -320,11 +312,32 @@ impl Fleet {
         (h.finish() % self.shards.len() as u64) as usize
     }
 
-    fn core(&self, key: FeedKey) -> Result<&EngineCore, ServeError> {
+    fn core(&self, grid: GridId) -> Result<&EngineCore, ServeError> {
         self.grids
-            .get(key.grid.index())
+            .get(grid.index())
             .map(|g| &g.core)
-            .ok_or_else(|| ServeError::UnknownGrid(key.grid.to_string()))
+            .ok_or_else(|| ServeError::UnknownGrid(grid.to_string()))
+    }
+
+    /// Score a batch of independent samples statelessly against `grid`'s
+    /// detector through the packed stage-1 path: samples sharing a
+    /// missing-data mask are scored against every learned subspace through
+    /// one projector bank, and the per-sample ranking tail fans out on the
+    /// workspace thread pool. Results come back in input order.
+    ///
+    /// Per-sample failures stay per-sample: [`ServeError::BadSample`] when
+    /// the ingestion guard refuses a sample, [`ServeError::Detect`] when
+    /// the detector cannot score it. An unknown `grid` fails every entry
+    /// with [`ServeError::UnknownGrid`].
+    pub fn detect_batch(
+        &self,
+        grid: GridId,
+        samples: &[PhasorSample],
+    ) -> Vec<Result<Detection, ServeError>> {
+        match self.core(grid) {
+            Ok(core) => core.detect_batch(samples),
+            Err(e) => vec![Err(e); samples.len()],
+        }
     }
 
     /// Open a streaming session for `key` on its home shard.
@@ -333,7 +346,7 @@ impl Fleet {
     /// [`ServeError::UnknownGrid`] for a foreign grid handle,
     /// [`ServeError::DuplicateFeed`] when the key is already open.
     pub fn open_feed(&self, key: FeedKey) -> Result<(), ServeError> {
-        let state = self.core(key)?.new_session();
+        let state = self.core(key.grid)?.new_session();
         self.install(key, state)
     }
 
@@ -425,8 +438,7 @@ impl Fleet {
     ///
     /// Unknown keys fail their own entries with
     /// [`ServeError::UnknownFeed`]; guard rejections with
-    /// [`ServeError::BadSample`] — exactly the single-engine semantics,
-    /// per feed.
+    /// [`ServeError::BadSample`].
     pub fn push_batch(
         &self,
         batch: &[(FeedKey, PhasorSample)],
@@ -505,9 +517,10 @@ impl Fleet {
                     };
                     let mut session = slot.lock().unwrap_or_else(|p| p.into_inner());
                     let core = &self.grids[session.grid as usize].core;
-                    let tag = FeedTag(&self.grids[session.grid as usize].name, key.feed);
+                    let tag =
+                        FeedTag { grid: &self.grids[session.grid as usize].name, feed: key.feed };
                     let t0 = Instant::now();
-                    let event = core.push_one(sid.slot(), &tag, &mut session.state, sample);
+                    let event = core.push_one(&tag, &mut session.state, sample);
                     shard.push_us.observe(t0.elapsed().as_secs_f64() * 1e6);
                     res.push((pos, event));
                 }
@@ -544,7 +557,7 @@ impl Fleet {
             let router = self.router.read().unwrap_or_else(|p| p.into_inner());
             router.get(&key).copied().ok_or(ServeError::UnknownFeed(key))?
         };
-        let core = self.core(key)?;
+        let core = self.core(key.grid)?;
         let table = self.shards[route.shard as usize]
             .table
             .lock()
@@ -651,10 +664,12 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{BadSampleReason, DegradeConfig, FeedMode};
     use pmu_baseline::MlrConfig;
     use pmu_detect::detector::default_config_for;
     use pmu_detect::stream::StreamConfig;
-    use pmu_sim::{generate_dataset, Dataset, GenConfig};
+    use pmu_obs::recorder::global;
+    use pmu_sim::{generate_dataset, Dataset, GenConfig, Mask};
 
     fn tiny_dataset() -> Dataset {
         let net = pmu_grid::cases::ieee14().unwrap();
@@ -903,10 +918,80 @@ mod tests {
         assert!(matches!(other.restore_feed(&bad_tag), Err(ServeError::Snapshot(_))));
     }
 
+    /// Mode-change observations name the feed, not its shard-local slot:
+    /// two feeds on different shards both sit in slot 0 of their shard's
+    /// table, darken in turn, and their `serve.feed_mode` records stay
+    /// apart (operand `a` is the feed id) — also after a migration moves
+    /// one of them into another slot. The recorder is process-global and
+    /// shared with concurrently running tests, so only records carrying
+    /// this test's feed ids are read.
+    #[test]
+    fn mode_changes_name_the_feed_not_the_shard_slot() {
+        let data = tiny_dataset();
+        let (fleet, east, _) =
+            two_grid_fleet(&data, FleetConfig { shards: 2, ..FleetConfig::default() });
+        let mut keys = (0xFEED_0000u64..).map(|feed| FeedKey { grid: east, feed });
+        let a = keys.find(|&k| fleet.home_shard(k) == 0).unwrap();
+        let b = keys.find(|&k| fleet.home_shard(k) == 1).unwrap();
+        fleet.open_feed(a).unwrap();
+        fleet.open_feed(b).unwrap();
+        assert!(
+            fleet.shard_stats().iter().all(|s| s.sessions == 1),
+            "each feed is alone on its shard, so both sit in slot 0"
+        );
+
+        let transitions = |key: FeedKey| -> Vec<u64> {
+            global()
+                .snapshot()
+                .records
+                .iter()
+                .filter(|r| r.label == "serve.feed_mode" && r.a == key.feed)
+                .map(|r| r.b)
+                .collect()
+        };
+        let n = data.network.n_buses();
+        let dark = Mask::with_missing(n, &(0..n - 1).collect::<Vec<_>>());
+        let window = DegradeConfig::default().window;
+        let sample = |t: usize| data.normal_test.sample(t % data.normal_test.len());
+        for key in [a, b] {
+            for t in 0..window {
+                fleet.push_batch(&[(key, sample(t).masked(&dark))]).remove(0).unwrap();
+            }
+            assert_eq!(fleet.health(key).unwrap().mode, FeedMode::Dark);
+            assert_eq!(transitions(key), vec![2], "feed {key} went dark exactly once");
+        }
+
+        // Migrate `a` next to `b` (slot 1 of shard 1) and let it recover:
+        // the recovery is still recorded under `a`'s id, never `b`'s.
+        fleet.migrate_feed(a, 1).unwrap();
+        for t in 0..2 * window {
+            fleet.push_batch(&[(a, sample(t))]).remove(0).unwrap();
+        }
+        assert_eq!(fleet.health(a).unwrap().mode, FeedMode::Healthy);
+        assert_eq!(transitions(a).first(), Some(&2));
+        assert_eq!(transitions(a).last(), Some(&0), "recovery is recorded under a's id");
+        assert_eq!(transitions(b), vec![2], "b's record stream is untouched by a");
+    }
+
     #[test]
     fn display_and_defaults() {
         let key = FeedKey { grid: GridId(2), feed: 41 };
         assert_eq!(key.to_string(), "g2.f41");
+        assert_eq!(FeedTag { grid: "east", feed: 7 }.to_string(), "east.f7");
+        let e = ServeError::BadSample(BadSampleReason::NonFinite { node: 9 });
+        assert!(e.to_string().contains("node 9"));
+        let e = ServeError::BadSample(BadSampleReason::WrongLength { expected: 14, got: 3 });
+        assert!(e.to_string().contains("14"));
+        assert!(e.to_string().contains('3'));
+        let e = ServeError::BadSample(BadSampleReason::MaskMismatch { nodes: 5, mask: 4 });
+        assert!(e.to_string().contains("mask"));
+        assert_eq!(BadSampleReason::NonFinite { node: 0 }.label(), "non_finite");
+        assert!(ServeError::UnknownFeed(key).to_string().contains("g2.f41"));
+        assert!(ServeError::DuplicateFeed(key).to_string().contains("g2.f41"));
+        assert!(ServeError::UnknownGrid("west".into()).to_string().contains("west"));
+        assert!(ServeError::DuplicateGrid("west".into()).to_string().contains("west"));
+        assert!(ServeError::Overloaded { shard: 3 }.to_string().contains("shard 3"));
+        assert!(ServeError::Snapshot("skew".into()).to_string().contains("skew"));
         assert_eq!(GridId(2).index(), 2);
         let cfg = FleetConfig::default();
         assert_eq!(cfg.shards, 0);

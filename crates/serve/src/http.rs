@@ -1,18 +1,16 @@
-//! A zero-dependency scrape endpoint for the serving engine and fleet.
+//! A zero-dependency scrape endpoint for a serving [`Fleet`].
 //!
 //! [`ObsServer`] binds a `std::net::TcpListener` and answers two routes:
 //!
 //! - `GET /metrics` — the process metrics registry in Prometheus text
 //!   exposition format 0.0.4 ([`pmu_obs::prometheus_text`]), plus one
-//!   `serve_feed_mode{session="..."}` gauge line per open session
-//!   (0 healthy, 1 degraded, 2 dark). Session labels are `sN.gM` when
-//!   serving an [`Engine`], `grid/fN` when serving a [`Fleet`].
-//! - `GET /health` — a JSON document with the serving identity, active
-//!   session count, detect-latency and per-stage quantiles, shortlist
-//!   hit/fallback counts, and one entry per session (mode, pushed,
-//!   rejected, missing, events, alarm state). The fleet flavour adds
-//!   per-grid provenance and per-shard load counters (inflight, drained,
-//!   shed, p99 push latency, drain rate).
+//!   `serve_feed_mode{session="grid/fN"}` gauge line per open feed
+//!   (0 healthy, 1 degraded, 2 dark).
+//! - `GET /health` — a JSON document with the served systems, per-grid
+//!   provenance, per-shard load counters (inflight, drained, shed, p99
+//!   push latency, drain rate), active session count, detect-latency and
+//!   per-stage quantiles, shortlist hit/fallback counts, and one entry
+//!   per feed (mode, pushed, rejected, missing, events, alarm state).
 //!
 //! The server is deliberately minimal: blocking accept loop on one
 //! thread, one request per connection (`Connection: close`), no
@@ -32,7 +30,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::engine::Engine;
 use crate::fleet::Fleet;
 use crate::session::SessionHealth;
 
@@ -45,28 +42,9 @@ const HEALTH_QUANTILE_METRICS: &[(&str, &str)] = &[
     ("detect.stage3_us", "stage3_us"),
 ];
 
-/// What the endpoint scrapes: one engine or a whole fleet.
-enum Target {
-    Engine(Arc<Engine>),
-    Fleet(Arc<Fleet>),
-}
-
-impl Target {
-    /// `(label, health)` for every open session, in stable display order.
-    fn session_healths(&self) -> Vec<(String, SessionHealth)> {
-        match self {
-            Target::Engine(engine) => engine
-                .session_healths()
-                .into_iter()
-                .map(|(id, h)| (id.to_string(), h))
-                .collect(),
-            Target::Fleet(fleet) => fleet
-                .feed_healths()
-                .into_iter()
-                .map(|(key, h)| (fleet.feed_label(key), h))
-                .collect(),
-        }
-    }
+/// `(label, health)` for every open feed, sorted by (grid, feed).
+fn labelled_healths(fleet: &Fleet) -> Vec<(String, SessionHealth)> {
+    fleet.feed_healths().into_iter().map(|(key, h)| (fleet.feed_label(key), h)).collect()
 }
 
 /// A running scrape endpoint. Dropping the handle stops the accept loop
@@ -85,24 +63,12 @@ impl std::fmt::Debug for ObsServer {
 
 impl ObsServer {
     /// Bind `addr` (e.g. `127.0.0.1:9464`; port `0` picks a free port)
-    /// and start answering scrapes against `engine` on a background
+    /// and start answering scrapes against `fleet` on a background
     /// thread.
     ///
     /// # Errors
     /// Propagates the bind failure (`EADDRINUSE`, privileged port, …).
-    pub fn bind(addr: &str, engine: Arc<Engine>) -> std::io::Result<Self> {
-        Self::bind_target(addr, Target::Engine(engine))
-    }
-
-    /// Bind `addr` and start answering scrapes against a whole fleet.
-    ///
-    /// # Errors
-    /// Propagates the bind failure (`EADDRINUSE`, privileged port, …).
     pub fn bind_fleet(addr: &str, fleet: Arc<Fleet>) -> std::io::Result<Self> {
-        Self::bind_target(addr, Target::Fleet(fleet))
-    }
-
-    fn bind_target(addr: &str, target: Target) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         // Poll the stop flag between accepts instead of blocking forever:
@@ -117,7 +83,7 @@ impl ObsServer {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
                             pmu_obs::counter!("serve.http_requests").inc();
-                            if let Err(e) = handle_connection(stream, &target) {
+                            if let Err(e) = handle_connection(stream, &fleet) {
                                 pmu_obs::counter!("serve.http_errors").inc();
                                 pmu_obs::info(&format!("obs endpoint error: {e}"));
                             }
@@ -157,7 +123,7 @@ impl Drop for ObsServer {
 /// timeout, a non-draining receiver the 2 s write timeout — either way
 /// the single accept loop gets its thread back and later scrapes
 /// proceed (pinned by `slow_clients_cannot_block_subsequent_scrapes`).
-fn handle_connection(mut stream: TcpStream, target: &Target) -> std::io::Result<()> {
+fn handle_connection(mut stream: TcpStream, fleet: &Fleet) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut buf = [0u8; 2048];
@@ -170,8 +136,8 @@ fn handle_connection(mut stream: TcpStream, target: &Target) -> std::io::Result<
         .unwrap_or("/");
 
     let (status, content_type, body) = match path {
-        "/metrics" => ("200 OK", "text/plain; version=0.0.4", metrics_body(target)),
-        "/health" => ("200 OK", "application/json", health_body(target)),
+        "/metrics" => ("200 OK", "text/plain; version=0.0.4", metrics_body(fleet)),
+        "/health" => ("200 OK", "application/json", health_body(fleet)),
         _ => ("404 Not Found", "text/plain", String::from("not found\n")),
     };
     let response = format!(
@@ -182,11 +148,11 @@ fn handle_connection(mut stream: TcpStream, target: &Target) -> std::io::Result<
     stream.write_all(response.as_bytes())
 }
 
-/// The `/metrics` payload: the registry exposition plus per-session
+/// The `/metrics` payload: the registry exposition plus per-feed
 /// feed-mode gauges (labelled series do not fit the scalar registry).
-fn metrics_body(target: &Target) -> String {
+fn metrics_body(fleet: &Fleet) -> String {
     let mut out = pmu_obs::prometheus_text();
-    let sessions = target.session_healths();
+    let sessions = labelled_healths(fleet);
     if !sessions.is_empty() {
         out.push_str("# TYPE serve_feed_mode gauge\n");
         out.push_str("# HELP serve_feed_mode Per-session degraded-mode state (0 healthy, 1 degraded, 2 dark).\n");
@@ -202,60 +168,47 @@ fn metrics_body(target: &Target) -> String {
 
 /// The `/health` payload: hand-written JSON (the workspace has no serde)
 /// via the same escaping helper the trace sink uses.
-fn health_body(target: &Target) -> String {
+fn health_body(fleet: &Fleet) -> String {
     let mut out = String::with_capacity(1024);
     out.push('{');
-    match target {
-        Target::Engine(engine) => {
-            push_str_field(&mut out, "system", engine.system());
+    let systems: Vec<&str> =
+        fleet.grids().iter().map(|&(id, _)| fleet.grid_system(id)).collect();
+    push_str_field(&mut out, "system", &systems.join(","));
+    out.push_str(",\"grids\":[");
+    for (i, (id, name)) in fleet.grids().into_iter().enumerate() {
+        if i > 0 {
             out.push(',');
-            push_str_field(&mut out, "fingerprint", engine.network_fingerprint());
         }
-        Target::Fleet(fleet) => {
-            let systems: Vec<&str> =
-                fleet.grids().iter().map(|&(id, _)| fleet.grid_system(id)).collect();
-            push_str_field(&mut out, "system", &systems.join(","));
-            out.push_str(",\"grids\":[");
-            for (i, (id, name)) in fleet.grids().into_iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                push_str_field(&mut out, "name", name);
-                out.push(',');
-                push_str_field(&mut out, "system", fleet.grid_system(id));
-                out.push(',');
-                push_str_field(&mut out, "fingerprint", fleet.grid_fingerprint(id));
-                out.push_str(&format!(",\"nodes\":{}}}", fleet.grid_nodes(id)));
-            }
-            out.push(']');
-            out.push_str(",\"shards\":[");
-            for (i, s) in fleet.shard_stats().into_iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"shard\":{},\"sessions\":{},\"inflight\":{},\"drained\":{},\
-                     \"shed\":{},\"push_p99_us\":{},\"drain_rate\":{}}}",
-                    s.shard,
-                    s.sessions,
-                    s.inflight,
-                    s.drained,
-                    s.shed,
-                    json_f64(s.push_p99_us),
-                    json_f64(s.drain_rate),
-                ));
-            }
-            out.push(']');
-        }
+        out.push('{');
+        push_str_field(&mut out, "name", name);
+        out.push(',');
+        push_str_field(&mut out, "system", fleet.grid_system(id));
+        out.push(',');
+        push_str_field(&mut out, "fingerprint", fleet.grid_fingerprint(id));
+        out.push_str(&format!(",\"nodes\":{}}}", fleet.grid_nodes(id)));
     }
-    let sessions = target.session_healths();
+    out.push(']');
+    out.push_str(",\"shards\":[");
+    for (i, s) in fleet.shard_stats().into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"shard\":{},\"sessions\":{},\"inflight\":{},\"drained\":{},\
+             \"shed\":{},\"push_p99_us\":{},\"drain_rate\":{}}}",
+            s.shard,
+            s.sessions,
+            s.inflight,
+            s.drained,
+            s.shed,
+            json_f64(s.push_p99_us),
+            json_f64(s.drain_rate),
+        ));
+    }
+    out.push(']');
+    let sessions = labelled_healths(fleet);
     out.push_str(&format!(",\"sessions_active\":{}", sessions.len()));
-    let dumps = match target {
-        Target::Engine(engine) => engine.incident_dumps_written(),
-        Target::Fleet(fleet) => fleet.incident_dumps_written(),
-    };
-    out.push_str(&format!(",\"incident_dumps\":{dumps}"));
+    out.push_str(&format!(",\"incident_dumps\":{}", fleet.incident_dumps_written()));
 
     out.push_str(",\"detect\":{");
     for (i, (metric, key)) in HEALTH_QUANTILE_METRICS.iter().enumerate() {
@@ -374,9 +327,9 @@ mod tests {
     /// must still complete, promptly.
     #[test]
     fn slow_clients_cannot_block_subsequent_scrapes() {
-        let engine =
-            Arc::new(Engine::from_bundle(tiny_bundle(), EngineConfig::default()));
-        let server = ObsServer::bind("127.0.0.1:0", engine).unwrap();
+        let mut fleet = Fleet::new(FleetConfig::default());
+        fleet.add_grid("ieee14", tiny_bundle(), &EngineConfig::default()).unwrap();
+        let server = ObsServer::bind_fleet("127.0.0.1:0", Arc::new(fleet)).unwrap();
         let addr = server.addr();
 
         // Client 1 connects and never sends a byte: the 500 ms read

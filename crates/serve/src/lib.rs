@@ -1,26 +1,25 @@
 //! # pmu-serve
 //!
 //! The online half of the train/serve split: a process-resident
-//! [`Engine`] that loads a trained [`ModelBundle`](pmu_model::ModelBundle)
-//! once and serves detection traffic from it — the paper's deployment
+//! [`Fleet`] that loads trained [`ModelBundle`](pmu_model::ModelBundle)s
+//! once and serves detection traffic from them — the paper's deployment
 //! picture, where a PDC-side monitor consumes streaming phasors against
-//! models learned offline (Sec. IV), at the scale the ROADMAP's
-//! production north star asks for.
+//! models learned offline (Sec. IV). A single-grid deployment is a
+//! one-grid fleet.
 //!
-//! Three serving shapes:
+//! Two serving shapes, one front-end:
 //!
-//! - **Stateless** — [`Engine::detect`] / [`Engine::detect_batch`] score
-//!   independent samples against the bundle's detector; batches fan out on
-//!   the workspace thread pool (`pmu_numerics::par`).
-//! - **Sessions** — [`Engine::open_session`] creates a per-feed
+//! - **Stateless** — [`Fleet::detect_batch`] scores independent samples
+//!   against one grid's detector; batches fan out on the workspace thread
+//!   pool (`pmu_numerics::par`).
+//! - **Feeds** — [`Fleet::open_feed`] creates a per-feed
 //!   [`StreamingDetector`](pmu_detect::stream::StreamingDetector) (k-of-m
-//!   voting, raise/clear events, health snapshots); [`Engine::push_batch`]
-//!   dispatches one tick of samples for many feeds in parallel while
-//!   preserving per-feed sample order.
-//! - **Fleet** — a [`Fleet`] hosts *many* grids in one process, shards
-//!   feed sessions across worker-aligned per-shard tables ([`FeedKey`]
-//!   routing), applies bounded-ingress admission control (shedding with
-//!   [`ServeError::Overloaded`]), and makes sessions *mobile*:
+//!   voting, raise/clear events, health snapshots) addressed by a
+//!   [`FeedKey`]. Feeds are sharded across worker-aligned per-shard
+//!   tables; [`Fleet::push_batch`] advances many feeds of many grids by
+//!   one tick in parallel while preserving per-feed sample order, under
+//!   bounded-ingress admission control (shedding with
+//!   [`ServeError::Overloaded`]). Sessions are *mobile*:
 //!   [`Fleet::snapshot_feed`] / [`Fleet::restore_feed`] round-trip a
 //!   feed's complete serving state through a checksummed
 //!   [`SessionSnapshot`](pmu_model::SessionSnapshot) bit-identically,
@@ -28,22 +27,23 @@
 //!   shard with no event discontinuity.
 //!
 //! The serving path assumes unreliable telemetry: an ingestion guard
-//! ([`Engine::validate_sample`]) refuses non-finite, truncated or
-//! mask-skewed samples with [`ServeError::BadSample`]; sessions carry a
-//! degraded-mode state machine ([`FeedMode`]) driven by recent missing
-//! and rejection ratios; session handles are generation-tagged
-//! ([`SessionId`]) so a handle outliving its slot fails instead of
-//! addressing a stranger's feed; and bundle loads retry transient IO
-//! per a bounded [`RetryPolicy`](pmu_model::RetryPolicy).
+//! refuses non-finite, truncated or mask-skewed samples with
+//! [`ServeError::BadSample`]; feeds carry a degraded-mode state machine
+//! ([`FeedMode`]) driven by recent missing, rejection and bad-data
+//! ratios; and a closed feed key fails with [`ServeError::UnknownFeed`]
+//! instead of addressing a stranger's session. Bundle loads that should
+//! retry transient IO call
+//! [`ModelBundle::load_with_retry`](pmu_model::ModelBundle::load_with_retry).
 //!
 //! Everything is observable: `serve.sessions_active`,
 //! `serve.detect_latency_us`, `serve.samples_rejected`,
-//! `serve.feed_mode` transitions, batch counters, and the bundle-load
-//! metrics emitted by `pmu-model`. On top of the passive registry the
-//! serve path carries production observability: per-feed flight-recorder
-//! rings snapshotted into JSONL incident dumps when an anomaly fires
-//! ([`IncidentConfig`]), and a scrapeable endpoint ([`ObsServer`])
-//! serving Prometheus text at `/metrics` and JSON health at `/health`.
+//! `serve.feed_mode` transitions (naming the grid-qualified feed),
+//! batch counters, and the bundle-load metrics emitted by `pmu-model`.
+//! On top of the passive registry the serve path carries production
+//! observability: per-feed flight-recorder rings snapshotted into JSONL
+//! incident dumps when an anomaly fires ([`IncidentConfig`]), and a
+//! scrapeable endpoint ([`ObsServer`]) serving Prometheus text at
+//! `/metrics` and JSON health at `/health`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -54,8 +54,8 @@ pub mod http;
 pub mod session;
 
 pub use engine::{
-    BadSampleReason, DegradeConfig, DegradeReason, Engine, EngineConfig, FeedMode,
-    IncidentConfig, ServeError, SessionHealth, SessionId,
+    BadSampleReason, DegradeConfig, DegradeReason, EngineConfig, FeedMode, IncidentConfig,
+    ServeError, SessionHealth,
 };
 pub use fleet::{FeedKey, Fleet, FleetConfig, GridId, ShardStats};
 pub use http::ObsServer;

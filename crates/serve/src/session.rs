@@ -1,10 +1,7 @@
-//! Session-layer building blocks shared by the single-grid [`Engine`]
-//! and the multi-grid [`Fleet`]: generation-tagged handles, the slot
-//! table with an O(1) free list, and the per-feed serving state
-//! (voting monitor + degraded-mode machine + flight-recorder ring).
-//!
-//! [`Engine`]: crate::Engine
-//! [`Fleet`]: crate::Fleet
+//! Session-layer building blocks of the [`Fleet`](crate::Fleet)'s shards:
+//! generation-tagged slot handles, the slot table with an O(1) free list,
+//! and the per-feed serving state (voting monitor + degraded-mode
+//! machine + flight-recorder ring).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -17,32 +14,30 @@ use pmu_obs::Recorder;
 /// hold several degrade windows of push history around an anomaly.
 pub(crate) const FEED_RING_CAPACITY: usize = 128;
 
-/// A generation-tagged handle to an open session.
+/// A generation-tagged handle to a slot of one shard's session table.
 ///
 /// Slots are reused after a close, but each reuse bumps the slot's
-/// generation, so a stale handle held across a close/reopen can never
-/// address the new occupant (the classic ABA hazard).
+/// generation, so a stale handle held across a close/reopen (or a
+/// migration) can never address the new occupant (the classic ABA
+/// hazard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionId {
-    pub(crate) slot: u32,
-    pub(crate) generation: u32,
+pub(crate) struct SessionId {
+    slot: u32,
+    generation: u32,
 }
 
-impl SessionId {
-    /// The slot-table index (stable across the handle's lifetime).
-    pub fn slot(&self) -> usize {
-        self.slot as usize
-    }
-
-    /// The slot generation this handle was issued under.
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
+/// Grid-qualified feed name used in mode-change observations and
+/// incident dumps (e.g. `east.f7` — no `/`, it becomes part of a file
+/// name). Unlike a slot index it is stable across shards, grids and
+/// migrations.
+pub(crate) struct FeedTag<'a> {
+    pub(crate) grid: &'a str,
+    pub(crate) feed: u64,
 }
 
-impl std::fmt::Display for SessionId {
+impl std::fmt::Display for FeedTag<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "s{}.g{}", self.slot, self.generation)
+        write!(f, "{}.f{}", self.grid, self.feed)
     }
 }
 
@@ -62,8 +57,7 @@ struct Slot<S> {
 /// of free slot indices: open pops (or grows), close pushes, both O(1).
 /// The invariant tying them together: a slot is in `free` **iff** its
 /// `state` is `None`, so `active() = slots.len() - free.len()` without a
-/// scan. Generation tagging is untouched — the ABA tests that pin it
-/// run against exactly this code via [`Engine`](crate::Engine).
+/// scan. Generation tagging is untouched.
 #[derive(Debug)]
 pub(crate) struct SessionTable<S> {
     slots: Vec<Slot<S>>,
@@ -103,7 +97,7 @@ impl<S> SessionTable<S> {
     /// Close a session and hand back its state (the migration path).
     /// `None` when the handle is not open.
     pub(crate) fn take(&mut self, id: SessionId) -> Option<S> {
-        let slot = self.slots.get_mut(id.slot())?;
+        let slot = self.slots.get_mut(id.slot as usize)?;
         if slot.generation != id.generation || slot.state.is_none() {
             return None;
         }
@@ -115,7 +109,7 @@ impl<S> SessionTable<S> {
 
     /// Resolve a handle to its live slot, or `None` when closed/stale.
     pub(crate) fn resolve(&self, id: SessionId) -> Option<&Mutex<S>> {
-        let slot = self.slots.get(id.slot())?;
+        let slot = self.slots.get(id.slot as usize)?;
         if slot.generation != id.generation {
             return None;
         }
@@ -125,16 +119,6 @@ impl<S> SessionTable<S> {
     /// Number of open sessions — O(1) via the free-list invariant.
     pub(crate) fn active(&self) -> usize {
         self.slots.len() - self.free.len()
-    }
-
-    /// Handles of the currently open sessions, ascending by slot.
-    pub(crate) fn ids(&self) -> Vec<SessionId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state.is_some())
-            .map(|(i, s)| SessionId { slot: i as u32, generation: s.generation })
-            .collect()
     }
 }
 
@@ -341,8 +325,9 @@ impl SessionState {
     }
 
     /// Record one push outcome and advance the mode machine, emitting a
-    /// [`pmu_obs::events::FeedModeChanged`] observation on transitions.
-    pub(crate) fn record(&mut self, slot: usize, cfg: &DegradeConfig, outcome: Outcome) {
+    /// [`pmu_obs::events::FeedModeChanged`] observation naming `who` on
+    /// transitions.
+    pub(crate) fn record(&mut self, who: &FeedTag<'_>, cfg: &DegradeConfig, outcome: Outcome) {
         if self.recent.len() == cfg.window.max(1) {
             self.recent.pop_front();
         }
@@ -359,7 +344,8 @@ impl SessionState {
                 FeedMode::Dark => "blackout",
             };
             pmu_obs::events::FeedModeChanged {
-                session: slot,
+                feed: who.to_string(),
+                feed_id: who.feed,
                 from: self.mode.label(),
                 to: next.label(),
                 reason,
@@ -469,14 +455,14 @@ mod tests {
     use super::*;
 
     /// The free list reuses slots O(1) while preserving the generation
-    /// semantics the engine-level ABA tests pin.
+    /// semantics that keep stale handles from reaching a new occupant.
     #[test]
     fn free_list_reuses_slots_with_fresh_generations() {
         let mut table: SessionTable<u32> = SessionTable::new();
         let a = table.open(1);
         let b = table.open(2);
         let c = table.open(3);
-        assert_eq!((a.slot(), b.slot(), c.slot()), (0, 1, 2));
+        assert_eq!((a.slot, b.slot, c.slot), (0, 1, 2));
         assert_eq!(table.active(), 3);
 
         assert!(table.close(b));
@@ -484,16 +470,19 @@ mod tests {
         assert_eq!(table.active(), 2);
         // LIFO reuse: the most recently freed slot comes back first.
         let d = table.open(4);
-        assert_eq!(d.slot(), b.slot());
-        assert_ne!(d.generation(), b.generation(), "reuse bumps the generation");
+        assert_eq!(d.slot, b.slot);
+        assert_ne!(d.generation, b.generation, "reuse bumps the generation");
         assert!(table.resolve(b).is_none(), "stale handle resolves to nothing");
+        assert!(!table.close(b), "stale handle cannot close the new occupant");
         assert_eq!(*table.resolve(d).unwrap().lock().unwrap(), 4);
-        assert_eq!(table.ids(), vec![a, d, c]);
+        assert_eq!(*table.resolve(a).unwrap().lock().unwrap(), 1);
+        assert_eq!(*table.resolve(c).unwrap().lock().unwrap(), 3);
 
         // Deep churn: many close/open cycles never grow the table.
+        let mut live = vec![a, d, c];
         for i in 0..100u32 {
-            assert!(table.close(table.ids()[0]));
-            table.open(i);
+            assert!(table.close(live.remove(0)));
+            live.push(table.open(i));
             assert_eq!(table.active(), 3);
         }
         assert!(table.slots.len() <= 3, "churn must not grow the table");
@@ -507,8 +496,8 @@ mod tests {
         assert_eq!(table.take(id), None, "second take finds nothing");
         assert_eq!(table.active(), 0);
         let reused = table.open("next".into());
-        assert_eq!(reused.slot(), id.slot());
-        assert_ne!(reused.generation(), id.generation());
+        assert_eq!(reused.slot, id.slot);
+        assert_ne!(reused.generation, id.generation);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Production-style deployment over the train/serve split: train once
 //! (day-ahead) into the **artifact store**, reload the bundle in the
-//! "online" process through a serving [`Engine`], and run the k-of-m
+//! "online" process into a one-grid serving [`Fleet`], and run the k-of-m
 //! voting stream monitor over a day of PMU samples with glitches, a PDC
 //! dropout, an outage, and a restoration. A second run of this example
 //! finds the bundle already in the store and skips training entirely.
@@ -29,24 +29,29 @@ fn main() {
         path.display()
     );
 
-    // --- Online process: load the bundle into an engine, open a feed. ----
-    let mut engine = Engine::load(&path, EngineConfig::default()).expect("engine load");
-    let feed = engine.open_session();
-    println!(
-        "engine serving {} (k-of-m {}/{}), feed session {feed} open",
-        engine.system(),
-        engine.stream_config().votes,
-        engine.stream_config().window,
-    );
-
+    // --- Online process: load the bundle into a fleet, open a feed. -----
+    let online = ModelBundle::load(&path).expect("bundle load");
     // A scripted day: normal -> single-sample glitch -> PDC dropout ->
     // sustained outage -> restoration.
     let case = &data.cases[6];
     let pdc_dark = {
-        let clustering = engine.detector().clustering();
+        let clustering = online.detector.clustering();
         let c = clustering.cluster_of(case.endpoints.0);
         Mask::with_missing(net.n_buses(), clustering.members(c))
     };
+    let cfg = EngineConfig::default();
+    let mut fleet = Fleet::new(FleetConfig::default());
+    let grid = fleet.add_grid("ieee14", online, &cfg).expect("fresh grid name");
+    let feed = FeedKey { grid, feed: 0 };
+    fleet.open_feed(feed).expect("fresh feed key");
+    println!(
+        "fleet serving {} (k-of-m {}/{}), feed {} open",
+        fleet.grid_system(grid),
+        cfg.stream.votes,
+        cfg.stream.window,
+        fleet.feed_label(feed),
+    );
+
     println!(
         "scripted events: glitch at t=3, PDC dropout t=6..9, outage of line {} t=10..16, restored t=17\n",
         case.branch
@@ -59,12 +64,12 @@ fn main() {
             10..=16 => case.test.sample((t - 10) % case.test.len()).masked(&pdc_dark),
             _ => data.normal_test.sample(t % data.normal_test.len()),
         };
-        let event = engine
+        let event = fleet
             .push_batch(&[(feed, sample)])
             .pop()
             .expect("one result per entry")
             .expect("stream push");
-        let health = engine.health(feed).expect("session is open");
+        let health = fleet.health(feed).expect("feed is open");
         let state = if health.snapshot.active {
             match &event {
                 StreamEvent::Raised { lines, .. } => format!("OUTAGE {lines:?}"),
@@ -85,7 +90,7 @@ fn main() {
         }
     }
 
-    let health = engine.health(feed).expect("session is open");
+    let health = fleet.health(feed).expect("feed is open");
     let snap = health.snapshot;
     println!(
         "\nfeed health: {} samples, {} missing, {} raised / {} cleared, mode {}",

@@ -42,7 +42,7 @@
 //! | [`detect`] | `pmu-detect` | the paper's subspace detector |
 //! | [`baseline`] | `pmu-baseline` | the MLR comparison methodology |
 //! | [`model`] | `pmu-model` | versioned model bundles + on-disk artifact store |
-//! | [`serve`] | `pmu-serve` | serving engine: sessions, batched detection |
+//! | [`serve`] | `pmu-serve` | serving fleet: sharded feed sessions, batched detection |
 //! | [`eval`] | `pmu-eval` | IA/FA metrics and per-figure experiment runners |
 //! | [`obs`] | `pmu-obs` | tracing spans, counters, histograms |
 
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use pmu_grid::cluster::partition_clusters;
     pub use pmu_grid::Network;
     pub use pmu_model::{ArtifactStore, ModelBundle};
-    pub use pmu_serve::{Engine, EngineConfig, FeedMode, ServeError, SessionId};
+    pub use pmu_serve::{EngineConfig, FeedKey, FeedMode, Fleet, FleetConfig, ServeError};
     pub use pmu_sim::missing::{cluster_mask, outage_endpoints_mask};
     pub use pmu_sim::{
         generate_dataset, Dataset, FaultKind, FaultSchedule, GenConfig, Mask,

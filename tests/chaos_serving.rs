@@ -1,4 +1,4 @@
-//! Chaos harness: drive serving engines through scripted fault schedules
+//! Chaos harness: drive serving fleets through scripted fault schedules
 //! (`pmu_sim::faults`) and assert the degradation contract — no panics,
 //! no stuck sessions, events survive PDC blackouts, invalid samples are
 //! refused at ingestion, every injected fault class lands in the obs
@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 use pmu_outage::detect::detector::default_config_for;
 use pmu_outage::detect::stream::StreamEvent;
 use pmu_outage::prelude::*;
-use pmu_outage::serve::{BadSampleReason, FeedKey, FeedMode, Fleet, FleetConfig, GridId};
+use pmu_outage::serve::{BadSampleReason, GridId};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -21,16 +21,41 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Fast-scale dataset + engine for one named IEEE system.
-fn build(name: &str) -> (Dataset, Engine) {
+/// Fast-scale dataset + trained bundle for one named IEEE system.
+fn train(name: &str) -> (Dataset, ModelBundle) {
     let net = by_name(name).expect("known system").expect("embedded case");
     let gen = GenConfig { train_len: 16, test_len: 6, ..GenConfig::default() };
     let data = generate_dataset(&net, &gen).expect("dataset generation");
     let det_cfg = default_config_for(&net);
     let bundle = ModelBundle::train(&data, &gen, &det_cfg, &MlrConfig::default())
         .expect("training");
-    let engine = Engine::from_bundle(bundle, EngineConfig::default());
-    (data, engine)
+    (data, bundle)
+}
+
+/// A one-grid fleet serving `bundle` under `cfg`.
+fn one_grid(bundle: ModelBundle, cfg: &EngineConfig) -> (Fleet, GridId) {
+    let mut fleet = Fleet::new(FleetConfig::default());
+    let grid = fleet.add_grid("grid", bundle, cfg).expect("fresh name");
+    (fleet, grid)
+}
+
+/// Fast-scale dataset + one-grid fleet for one named IEEE system.
+fn build(name: &str) -> (Dataset, Fleet, GridId) {
+    let (data, bundle) = train(name);
+    let (fleet, grid) = one_grid(bundle, &EngineConfig::default());
+    (data, fleet, grid)
+}
+
+/// Open feed `feed` of `grid` and return its key.
+fn open(fleet: &Fleet, grid: GridId, feed: u64) -> FeedKey {
+    let key = FeedKey { grid, feed };
+    fleet.open_feed(key).expect("fresh key");
+    key
+}
+
+/// Push one sample into one feed.
+fn push(fleet: &Fleet, key: FeedKey, sample: &PhasorSample) -> Result<StreamEvent, ServeError> {
+    fleet.push_batch(&[(key, sample.clone())]).remove(0)
 }
 
 /// `len` outage samples from `case_idx`, cycling the test window.
@@ -50,8 +75,8 @@ fn normal_run(data: &Dataset, len: usize) -> Vec<PhasorSample> {
 #[test]
 fn blackout_during_confirmed_outage_does_not_clear() {
     let _g = lock();
-    let (data, mut engine) = build("ieee14");
-    let sid = engine.open_session();
+    let (data, fleet, grid) = build("ieee14");
+    let sid = open(&fleet, grid, 0);
 
     // 20 outage ticks, then 8 restoration ticks.
     let mut clean = outage_run(&data, 2, 20);
@@ -64,18 +89,14 @@ fn blackout_during_confirmed_outage_does_not_clear() {
     let mut raises = Vec::new();
     let mut clears = Vec::new();
     for (t, inj) in injected.iter().enumerate() {
-        let ev = engine
-            .push_batch(&[(sid, inj.sample.clone())])
-            .pop()
-            .unwrap()
-            .expect("masked samples must not error");
+        let ev = push(&fleet, sid, &inj.sample).expect("masked samples must not error");
         match ev {
             StreamEvent::Raised { .. } => raises.push(t),
             StreamEvent::Cleared => clears.push(t),
             _ => {}
         }
         if (8..20).contains(&t) {
-            let h = engine.health(sid).unwrap();
+            let h = fleet.health(sid).unwrap();
             assert!(
                 h.snapshot.active,
                 "event lost at tick {t} (blackout must not clear it)"
@@ -88,7 +109,7 @@ fn blackout_during_confirmed_outage_does_not_clear() {
     assert_eq!(clears.len(), 1, "exactly one clear: {clears:?}");
     assert!(clears[0] >= 20, "cleared only during restoration");
 
-    let h = engine.health(sid).unwrap();
+    let h = fleet.health(sid).unwrap();
     assert!(!h.snapshot.active);
     assert_eq!(h.snapshot.events_raised, 1);
     assert_eq!(h.snapshot.events_cleared, 1);
@@ -96,8 +117,7 @@ fn blackout_during_confirmed_outage_does_not_clear() {
     assert_eq!(h.mode, FeedMode::Healthy, "session recovered, not stuck");
 
     // Not stuck: the session still serves after the chaos.
-    let after = engine.push_batch(&[(sid, data.normal_test.sample(0))]);
-    assert!(after[0].is_ok());
+    assert!(push(&fleet, sid, &data.normal_test.sample(0)).is_ok());
 }
 
 /// An outage that *begins during* a blackout is raised promptly once the
@@ -105,8 +125,8 @@ fn blackout_during_confirmed_outage_does_not_clear() {
 #[test]
 fn event_raises_after_blackout_lifts() {
     let _g = lock();
-    let (data, mut engine) = build("ieee14");
-    let sid = engine.open_session();
+    let (data, fleet, grid) = build("ieee14");
+    let sid = open(&fleet, grid, 0);
 
     // 4 normal ticks, then a sustained outage from tick 4.
     let mut clean = normal_run(&data, 4);
@@ -118,13 +138,13 @@ fn event_raises_after_blackout_lifts() {
 
     let mut first_raise = None;
     for (t, inj) in injected.iter().enumerate() {
-        let ev = engine.push_batch(&[(sid, inj.sample.clone())]).pop().unwrap().unwrap();
+        let ev = push(&fleet, sid, &inj.sample).unwrap();
         if matches!(ev, StreamEvent::Raised { .. }) && first_raise.is_none() {
             first_raise = Some(t);
         }
         if t < 12 {
             assert!(
-                !engine.health(sid).unwrap().snapshot.active,
+                !fleet.health(sid).unwrap().snapshot.active,
                 "nothing to confirm while dark (tick {t})"
             );
         }
@@ -132,10 +152,10 @@ fn event_raises_after_blackout_lifts() {
     let raised_at = first_raise.expect("outage must raise after the blackout lifts");
     assert!(raised_at >= 12, "raise at {raised_at} needs post-blackout evidence");
     assert!(
-        raised_at < 12 + engine.stream_config().window,
+        raised_at < 12 + EngineConfig::default().stream.window,
         "raise within one voting window of the lift, got {raised_at}"
     );
-    assert!(engine.health(sid).unwrap().snapshot.active);
+    assert!(fleet.health(sid).unwrap().snapshot.active);
 }
 
 /// Every fault class of a mixed schedule is visible in the obs metrics,
@@ -143,10 +163,10 @@ fn event_raises_after_blackout_lifts() {
 #[test]
 fn every_fault_class_lands_in_metrics() {
     let _g = lock();
-    let (data, mut engine) = build("ieee14");
+    let (data, fleet, grid) = build("ieee14");
     pmu_obs::set_metrics_enabled(true);
     pmu_obs::reset_metrics();
-    let sid = engine.open_session();
+    let sid = open(&fleet, grid, 0);
 
     let clean = normal_run(&data, 30);
     let injected = FaultSchedule::new(99)
@@ -161,8 +181,7 @@ fn every_fault_class_lands_in_metrics() {
 
     let mut rejected = 0usize;
     for inj in &injected {
-        let out = engine.push_batch(&[(sid, inj.sample.clone())]).pop().unwrap();
-        match out {
+        match push(&fleet, sid, &inj.sample) {
             Ok(_) => {}
             Err(ServeError::BadSample(reason)) => {
                 rejected += 1;
@@ -189,7 +208,7 @@ fn every_fault_class_lands_in_metrics() {
     assert_eq!(rejected, 4, "2 NaN-burst + 2 truncated ticks");
 
     // Session accounting matches the injected ground truth.
-    let h = engine.health(sid).unwrap();
+    let h = fleet.health(sid).unwrap();
     assert_eq!(h.rejected, 4);
     assert_eq!(h.pushed, 26);
     assert_eq!(h.snapshot.samples_seen, 26, "rejected samples never reach voting");
@@ -222,27 +241,27 @@ fn every_fault_class_lands_in_metrics() {
 #[test]
 fn accuracy_degrades_monotonically_with_drop_severity() {
     let _g = lock();
-    let (data, mut engine) = build("ieee14");
+    let (data, fleet, grid) = build("ieee14");
     let clean = outage_run(&data, 0, 18);
 
     let mut scored = Vec::new();
     let mut active_ticks = Vec::new();
-    for p in [0.0, 0.35, 0.7] {
-        let sid = engine.open_session();
+    for (feed, p) in [0.0, 0.35, 0.7].into_iter().enumerate() {
+        let sid = open(&fleet, grid, feed as u64);
         let injected = FaultSchedule::new(1234)
             .window(0, clean.len(), FaultKind::Drop { p })
             .apply(&clean);
         let mut active = 0usize;
         for inj in &injected {
-            engine.push_batch(&[(sid, inj.sample.clone())]).pop().unwrap().unwrap();
-            if engine.health(sid).unwrap().snapshot.active {
+            push(&fleet, sid, &inj.sample).unwrap();
+            if fleet.health(sid).unwrap().snapshot.active {
                 active += 1;
             }
         }
-        let h = engine.health(sid).unwrap();
+        let h = fleet.health(sid).unwrap();
         scored.push(h.snapshot.samples_seen - h.snapshot.missing_samples);
         active_ticks.push(active);
-        engine.close_session(sid);
+        assert!(fleet.close_feed(sid));
     }
 
     assert!(
@@ -259,26 +278,35 @@ fn accuracy_degrades_monotonically_with_drop_severity() {
     );
 }
 
-/// Stale session handles (slot closed and reused) are rejected mid-chaos
-/// instead of cross-wiring feeds.
+/// A closed key fails typed mid-chaos instead of cross-wiring feeds —
+/// even when a new feed took over its shard slot — and a reopened key
+/// starts a fresh session.
 #[test]
 fn stale_handles_rejected_during_chaos() {
     let _g = lock();
-    let (data, mut engine) = build("ieee14");
-    let stale = engine.open_session();
-    engine.push_batch(&[(stale, data.normal_test.sample(0))]);
-    assert!(engine.close_session(stale));
-    let fresh = engine.open_session();
-    assert_eq!(fresh.slot(), stale.slot());
+    let (data, bundle) = train("ieee14");
+    // One shard, so the next open reuses the freed slot (under a new
+    // generation).
+    let mut fleet = Fleet::new(FleetConfig { shards: 1, ..FleetConfig::default() });
+    let grid = fleet.add_grid("grid", bundle, &EngineConfig::default()).expect("fresh name");
+    let stale = open(&fleet, grid, 0);
+    push(&fleet, stale, &data.normal_test.sample(0)).expect("open feed");
+    assert!(fleet.close_feed(stale));
+    let fresh = open(&fleet, grid, 1);
 
-    let out = engine.push_batch(&[
+    let out = fleet.push_batch(&[
         (stale, data.normal_test.sample(1)),
         (fresh, data.normal_test.sample(1)),
     ]);
-    assert_eq!(out[0], Err(ServeError::UnknownSession(stale)));
+    assert_eq!(out[0], Err(ServeError::UnknownFeed(stale)));
     assert!(out[1].is_ok());
-    assert_eq!(engine.health(fresh).unwrap().snapshot.samples_seen, 1);
-    assert!(engine.health(stale).is_none());
+    assert_eq!(fleet.health(fresh).unwrap().snapshot.samples_seen, 1);
+    assert!(fleet.health(stale).is_none());
+
+    let reopened = open(&fleet, grid, 0);
+    let h = fleet.health(reopened).unwrap();
+    assert_eq!(h.snapshot.samples_seen, 0, "a reopened key starts fresh");
+    assert_eq!(h.pushed, 0);
 }
 
 /// A blackout landing mid-outage produces exactly one incident dump,
@@ -316,8 +344,8 @@ fn blackout_mid_outage_dumps_one_tagged_incident() {
         },
         ..EngineConfig::default()
     };
-    let mut engine = Engine::from_bundle(bundle, cfg);
-    let sid = engine.open_session();
+    let (fleet, grid) = one_grid(bundle, &cfg);
+    let sid = open(&fleet, grid, 0);
 
     // 20 outage ticks then 8 restoration ticks; the grid goes fully dark
     // over ticks [8, 14) while the event stands.
@@ -329,11 +357,7 @@ fn blackout_mid_outage_dumps_one_tagged_incident() {
     pmu_obs::recorder::global().clear();
     for (t, inj) in injected.iter().enumerate() {
         inj.record_faults(t);
-        engine
-            .push_batch(&[(sid, inj.sample.clone())])
-            .pop()
-            .unwrap()
-            .expect("masked samples must not error");
+        push(&fleet, sid, &inj.sample).expect("masked samples must not error");
     }
 
     let mut dumps: Vec<_> = std::fs::read_dir(&dir)
@@ -530,14 +554,14 @@ fn reopened_keys_start_fresh_and_migrations_lose_nothing() {
 }
 
 /// The blackout contract holds on the larger grids too: ieee30 and
-/// ieee57 engines ride out a mid-outage blackout without clearing,
+/// ieee57 fleets ride out a mid-outage blackout without clearing,
 /// panicking, or sticking.
 #[test]
 fn larger_grids_survive_blackout_schedules() {
     let _g = lock();
     for name in ["ieee30", "ieee57"] {
-        let (data, mut engine) = build(name);
-        let sid = engine.open_session();
+        let (data, fleet, grid) = build(name);
+        let sid = open(&fleet, grid, 0);
         let mut clean = outage_run(&data, 1, 16);
         clean.extend(normal_run(&data, 8));
         let injected = FaultSchedule::new(5)
@@ -547,10 +571,7 @@ fn larger_grids_survive_blackout_schedules() {
         let mut raises = 0usize;
         let mut clears = 0usize;
         for (t, inj) in injected.iter().enumerate() {
-            let ev = engine
-                .push_batch(&[(sid, inj.sample.clone())])
-                .pop()
-                .unwrap()
+            let ev = push(&fleet, sid, &inj.sample)
                 .unwrap_or_else(|e| panic!("{name} tick {t}: {e}"));
             match ev {
                 StreamEvent::Raised { .. } => raises += 1,
@@ -559,18 +580,18 @@ fn larger_grids_survive_blackout_schedules() {
             }
             if (6..16).contains(&t) {
                 assert!(
-                    engine.health(sid).unwrap().snapshot.active,
+                    fleet.health(sid).unwrap().snapshot.active,
                     "{name}: event lost at tick {t}"
                 );
             }
         }
         assert_eq!(raises, 1, "{name}: one raise");
         assert_eq!(clears, 1, "{name}: one clear, after restoration");
-        let h = engine.health(sid).unwrap();
+        let h = fleet.health(sid).unwrap();
         assert_eq!(h.snapshot.missing_samples, 5, "{name}: the five dark ticks");
         assert!(!h.snapshot.active, "{name}: restored");
         // Not stuck.
-        assert!(engine.push_batch(&[(sid, data.normal_test.sample(0))])[0].is_ok());
+        assert!(push(&fleet, sid, &data.normal_test.sample(0)).is_ok());
     }
 }
 
@@ -590,10 +611,10 @@ fn corrupt_mid_outage_keeps_localization() {
     let bundle = ModelBundle::train(&data, &gen, &default_config_for(&net), &MlrConfig::default())
         .expect("training");
     // Keep a standalone detector for per-tick suspect accounting; the
-    // engine consumes the bundle.
+    // fleet consumes the bundle.
     let detector = bundle.detector.clone();
-    let mut engine = Engine::from_bundle(bundle, EngineConfig::default());
-    let sid = engine.open_session();
+    let (fleet, grid) = one_grid(bundle, &EngineConfig::default());
+    let sid = open(&fleet, grid, 0);
 
     let case = &data.cases[2];
     // Two victim channels away from the outage endpoints (and the
@@ -636,11 +657,7 @@ fn corrupt_mid_outage_keeps_localization() {
             }
         }
 
-        let ev = engine
-            .push_batch(&[(sid, inj.sample.clone())])
-            .pop()
-            .unwrap()
-            .expect("finite corrupted samples pass ingestion");
+        let ev = push(&fleet, sid, &inj.sample).expect("finite corrupted samples pass ingestion");
         match ev {
             StreamEvent::Raised { lines, .. } => raises.push((t, lines)),
             StreamEvent::Cleared => {
@@ -655,7 +672,7 @@ fn corrupt_mid_outage_keeps_localization() {
         if let Some(&(raised_at, _)) = raises.first() {
             if t >= raised_at {
                 assert!(
-                    engine.health(sid).unwrap().snapshot.active,
+                    fleet.health(sid).unwrap().snapshot.active,
                     "event lost at tick {t}"
                 );
             }
@@ -669,7 +686,7 @@ fn corrupt_mid_outage_keeps_localization() {
 
     // Session accounting against the injected ground truth: the screen
     // fired inside the burst and can never fire more often than it.
-    let h = engine.health(sid).unwrap();
+    let h = fleet.health(sid).unwrap();
     assert!(h.snapshot.bad_data_samples >= 1, "the screen never fired during the burst");
     assert!(
         h.snapshot.bad_data_samples <= 6,

@@ -16,7 +16,7 @@ use pmu_obs::recorder::{global, label_id, RecKind};
 use pmu_obs::Recorder;
 use pmu_outage::detect::detector::default_config_for;
 use pmu_outage::prelude::*;
-use pmu_outage::serve::{ObsServer, SessionId};
+use pmu_outage::serve::{GridId, ObsServer};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -24,8 +24,9 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Fast-scale dataset + engine with incident dumping into `incidents`.
-fn build(name: &str, incidents: Option<std::path::PathBuf>) -> (Dataset, Engine) {
+/// Fast-scale dataset + one-grid fleet with incident dumping into
+/// `incidents`.
+fn build(name: &str, incidents: Option<std::path::PathBuf>) -> (Dataset, Fleet, GridId) {
     let net = by_name(name).expect("known system").expect("embedded case");
     let gen = GenConfig { train_len: 16, test_len: 6, ..GenConfig::default() };
     let data = generate_dataset(&net, &gen).expect("dataset generation");
@@ -34,8 +35,9 @@ fn build(name: &str, incidents: Option<std::path::PathBuf>) -> (Dataset, Engine)
         .expect("training");
     let mut cfg = EngineConfig::default();
     cfg.incident.dir = incidents;
-    let engine = Engine::from_bundle(bundle, cfg);
-    (data, engine)
+    let mut fleet = Fleet::new(FleetConfig::default());
+    let grid = fleet.add_grid("grid", bundle, &cfg).expect("fresh name");
+    (data, fleet, grid)
 }
 
 /// A scratch directory under the system temp root, cleaned on creation.
@@ -174,12 +176,13 @@ fn incident_dump_content_is_deterministic() {
     let run = |tag: &str| -> Vec<(String, String, String, String)> {
         let dir = scratch(tag);
         global().clear();
-        let (data, mut engine) = build("ieee14", Some(dir.clone()));
-        let sid = engine.open_session();
+        let (data, fleet, grid) = build("ieee14", Some(dir.clone()));
+        let sid = FeedKey { grid, feed: 0 };
+        fleet.open_feed(sid).expect("fresh key");
         let case = &data.cases[2];
         for t in 0..12 {
             let s = case.test.sample(t % case.test.len());
-            engine.push_batch(&[(sid, s)]).pop().unwrap().expect("clean samples");
+            fleet.push_batch(&[(sid, s)]).pop().unwrap().expect("clean samples");
         }
         let mut dumps: Vec<_> = std::fs::read_dir(&dir)
             .expect("incident dir")
@@ -216,27 +219,30 @@ fn incident_dump_content_is_deterministic() {
 }
 
 /// The `/metrics` exposition agrees with the in-process registry, the
-/// per-session feed-mode gauges are present, `/health` reflects the
-/// sessions, and unknown paths 404.
+/// per-feed feed-mode gauges are present, `/health` reflects the feeds,
+/// and unknown paths 404.
 #[test]
 fn scrape_endpoint_matches_registry() {
     let _g = lock();
     pmu_obs::set_metrics_enabled(true);
     pmu_obs::reset_metrics();
-    let (data, mut engine) = build("ieee14", None);
-    let s0 = engine.open_session();
-    let s1 = engine.open_session();
+    let (data, fleet, grid) = build("ieee14", None);
+    let s0 = FeedKey { grid, feed: 0 };
+    let s1 = FeedKey { grid, feed: 1 };
+    for key in [s0, s1] {
+        fleet.open_feed(key).expect("fresh key");
+    }
     for t in 0..6 {
-        let batch: Vec<(SessionId, PhasorSample)> = [s0, s1]
+        let batch: Vec<(FeedKey, PhasorSample)> = [s0, s1]
             .iter()
             .map(|&sid| (sid, data.normal_test.sample(t % data.normal_test.len())))
             .collect();
-        for out in engine.push_batch(&batch) {
+        for out in fleet.push_batch(&batch) {
             out.expect("clean samples");
         }
     }
-    let engine = Arc::new(engine);
-    let server = ObsServer::bind("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
+    let fleet = Arc::new(fleet);
+    let server = ObsServer::bind_fleet("127.0.0.1:0", Arc::clone(&fleet)).expect("bind");
     let scrape = |path: &str| -> (String, String) {
         let mut conn = TcpStream::connect(server.addr()).expect("connect");
         write!(conn, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("request");
@@ -259,14 +265,16 @@ fn scrape_endpoint_matches_registry() {
     }
     assert!(body.contains(&format!("serve_detect_latency_us_count {}", h.count())));
     for sid in [s0, s1] {
-        assert!(body.contains(&format!("serve_feed_mode{{session=\"{sid}\"}} 0")));
+        let label = fleet.feed_label(sid);
+        assert!(body.contains(&format!("serve_feed_mode{{session=\"{label}\"}} 0")));
     }
+    assert!(body.contains("serve_feed_mode{session=\"grid/f0\"} 0"), "{body}");
 
     let (head, body) = scrape("/health");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert!(head.contains("application/json"), "{head}");
     assert!(body.contains("\"sessions_active\":2"), "{body}");
-    assert!(body.contains(&format!("\"id\":\"{s0}\"")), "{body}");
+    assert!(body.contains(&format!("\"id\":\"{}\"", fleet.feed_label(s0))), "{body}");
     assert!(body.contains("\"mode\":\"healthy\""), "{body}");
     assert!(
         body.contains(&format!("\"count\":{}", h.count())),
