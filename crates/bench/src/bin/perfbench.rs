@@ -43,7 +43,8 @@
 //!  12. a `fleet` soak: 4 grids sharing one process, hundreds of feed
 //!      sessions sharded across the worker pool, several ticks of mixed
 //!      normal/outage traffic — the headline is samples/sec/core, plus
-//!      the worst per-shard p99 push latency and a deliberate-overload
+//!      the same soak on one worker (`seconds_1w`, `speedup_2w`), the
+//!      worst per-shard p99 push latency and a deliberate-overload
 //!      sub-step whose shed count must match ground truth exactly
 //!      (`shed_ok`).
 //!
@@ -323,6 +324,11 @@ struct FleetTiming {
     ticks: usize,
     /// Wall-clock of the soak (every `push_batch` tick, probes off).
     seconds: f64,
+    /// The same soak on a fresh, identical fleet under
+    /// `par::set_threads(1)`: every feed drains on the calling thread.
+    seconds_1w: f64,
+    /// `seconds_1w / seconds`: what the drain pool's extra workers buy.
+    speedup_2w: f64,
     samples_per_sec: f64,
     /// The headline: soak throughput normalized by worker threads.
     samples_per_sec_per_core: f64,
@@ -984,18 +990,22 @@ fn bench_fleet(scale: EvalScale) -> FleetTiming {
     let grids = 4usize;
     let feeds_per_grid = if matches!(scale, EvalScale::Fast) { 32 } else { 64 };
     let ticks = 6usize;
-    let mut fleet = Fleet::new(FleetConfig::default());
-    let mut keys = Vec::with_capacity(grids * feeds_per_grid);
-    for g in 0..grids {
-        let gid = fleet
-            .add_grid(&format!("grid{g}"), bundle.clone(), &EngineConfig::default())
-            .expect("unique grid names");
-        for f in 0..feeds_per_grid {
-            let key = FeedKey { grid: gid, feed: f as u64 };
-            fleet.open_feed(key).expect("fresh keys");
-            keys.push(key);
+    let build = || {
+        let mut fleet = Fleet::new(FleetConfig::default());
+        let mut keys = Vec::with_capacity(grids * feeds_per_grid);
+        for g in 0..grids {
+            let gid = fleet
+                .add_grid(&format!("grid{g}"), bundle.clone(), &EngineConfig::default())
+                .expect("unique grid names");
+            for f in 0..feeds_per_grid {
+                let key = FeedKey { grid: gid, feed: f as u64 };
+                fleet.open_feed(key).expect("fresh keys");
+                keys.push(key);
+            }
         }
-    }
+        (fleet, keys)
+    };
+    let (fleet, keys) = build();
 
     // Every 4th feed rides an outage case; the rest see normal traffic,
     // so the soak mixes raise/clear event work with steady-state scoring.
@@ -1016,19 +1026,30 @@ fn bench_fleet(scale: EvalScale) -> FleetTiming {
         })
         .collect();
 
-    let t0 = Instant::now();
-    let mut pushed_ok = 0usize;
-    for batch in &batches {
-        let events = fleet.push_batch(batch);
-        pushed_ok += events.iter().filter(|e| e.is_ok()).count();
-        std::hint::black_box(&events);
-    }
-    let seconds = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        pushed_ok,
-        keys.len() * ticks,
-        "the default ingress budget must admit the whole soak"
-    );
+    let soak = |fleet: &Fleet| {
+        let t0 = Instant::now();
+        let mut pushed_ok = 0usize;
+        for batch in &batches {
+            let events = fleet.push_batch(batch);
+            pushed_ok += events.iter().filter(|e| e.is_ok()).count();
+            std::hint::black_box(&events);
+        }
+        let seconds = t0.elapsed().as_secs_f64();
+        assert_eq!(
+            pushed_ok,
+            keys.len() * ticks,
+            "the default ingress budget must admit the whole soak"
+        );
+        (seconds, pushed_ok)
+    };
+    let seconds_1w = {
+        let (one, _) = build();
+        par::set_threads(1);
+        let (seconds, _) = soak(&one);
+        par::set_threads(0);
+        seconds
+    };
+    let (seconds, pushed_ok) = soak(&fleet);
     let samples_per_sec = pushed_ok as f64 / seconds;
     let samples_per_sec_per_core = samples_per_sec / par::num_threads() as f64;
 
@@ -1065,6 +1086,8 @@ fn bench_fleet(scale: EvalScale) -> FleetTiming {
         shards: fleet.shard_count(),
         ticks,
         seconds,
+        seconds_1w,
+        speedup_2w: seconds_1w / seconds,
         samples_per_sec,
         samples_per_sec_per_core,
         shard_p99_push_us,
@@ -1074,13 +1097,15 @@ fn bench_fleet(scale: EvalScale) -> FleetTiming {
     };
     pmu_obs::info(&format!(
         "fleet: {} grids x {} feeds on {} shard(s), {} ticks in {:.3} s \
-         ({:.0} samples/s, {:.0}/s/core), shard p99 push {:.1} us, \
-         shed {}/{} shed_ok={}",
+         (1 worker: {:.3} s, x{:.2}; {:.0} samples/s, {:.0}/s/core), \
+         shard p99 push {:.1} us, shed {}/{} shed_ok={}",
         timing.grids,
         feeds_per_grid,
         timing.shards,
         timing.ticks,
         timing.seconds,
+        timing.seconds_1w,
+        timing.speedup_2w,
         timing.samples_per_sec,
         timing.samples_per_sec_per_core,
         timing.shard_p99_push_us,

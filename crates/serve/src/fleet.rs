@@ -3,13 +3,25 @@
 //!
 //! A [`Fleet`] hosts several trained bundles (one [`EngineCore`] per
 //! grid) and shards every open feed session across a fixed set of
-//! worker-aligned shards. It keeps **one
+//! shards. It keeps **one
 //! [`SessionTable`](crate::session::SessionTable) per shard, each behind
-//! its own lock** — a push batch touches only the shards its feeds hash
-//! to, and distinct shards drain fully in parallel with zero lock
-//! contention between them. Stateless scoring of independent samples
-//! goes through [`Fleet::detect_batch`], which shares the grid's
-//! detector and scoring cache with its feeds.
+//! its own lock**, and every session behind a lock of its own. Stateless
+//! scoring of independent samples goes through [`Fleet::detect_batch`],
+//! which shares the grid's detector and scoring cache with its feeds.
+//!
+//! ## Draining
+//!
+//! A push batch is split into **one unit per feed**: that feed's samples
+//! in input order. Units are resolved under their shard's table lock,
+//! which is released before any sample is pushed, so a slow feed (an
+//! incident dump, say) holds only its own session lock and never stalls
+//! its shard-mates. The units then drain on the fleet's persistent
+//! drain pool: `par::num_threads() - 1` helper threads, started by the
+//! first batch with work for two, plus the calling thread, all pulling
+//! units from one shared index. A batch's riders (feeds in an outage,
+//! several times costlier than a quiet feed) therefore spread over the
+//! workers whichever shard they live on. The worker count is read on
+//! every batch, so `par::set_threads(1)` drains on the calling thread.
 //!
 //! ## Routing
 //!
@@ -53,6 +65,7 @@ use pmu_obs::metrics::{Gauge, Histogram};
 use pmu_sim::PhasorSample;
 
 use crate::engine::{EngineConfig, EngineCore, ServeError};
+use crate::pool::DrainPool;
 use crate::session::{FeedTag, SessionHealth, SessionId, SessionState, SessionTable};
 
 /// Handle to one grid registered in a [`Fleet`] (index into the fleet's
@@ -94,8 +107,10 @@ impl std::fmt::Display for FeedKey {
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of session shards. `0` (the default) means one shard per
-    /// worker thread ([`par::num_threads`]), aligning shard parallelism
-    /// with the pool that drains them.
+    /// worker thread ([`par::num_threads`]). Shards bound admission (each
+    /// has its own ingress budget) and lock scope (each has its own
+    /// table lock); they do not bound parallelism, since a batch's feeds
+    /// drain on every worker whichever shard they live on.
     pub shards: usize,
     /// Per-shard bounded ingress budget: the maximum number of samples a
     /// shard accepts concurrently before the admission controller starts
@@ -135,7 +150,7 @@ pub struct ShardStats {
 /// `serve.shard3.push_us`, leaked once per process and deduplicated by
 /// the registry).
 struct Shard {
-    table: Mutex<SessionTable<FleetSession>>,
+    table: Mutex<SessionTable<SessionState>>,
     /// Samples admitted and not yet drained; bounded by
     /// [`FleetConfig::queue_capacity`] via compare-exchange admission.
     inflight: AtomicUsize,
@@ -185,12 +200,6 @@ impl Shard {
     }
 }
 
-/// A session homed on a shard, remembering which grid's core pushes it.
-struct FleetSession {
-    grid: u32,
-    state: SessionState,
-}
-
 struct GridEntry {
     name: String,
     core: EngineCore,
@@ -203,16 +212,49 @@ struct Route {
     sid: SessionId,
 }
 
+/// One feed's share of a push batch: its samples in input order, with
+/// everything the push needs owned or shared, so a pool thread can drain
+/// it without borrowing from the fleet.
+struct FeedUnit {
+    grid: Arc<GridEntry>,
+    feed: u64,
+    session: Arc<Mutex<SessionState>>,
+    /// The home shard's per-push latency histogram.
+    push_us: &'static Histogram,
+    /// `(batch position, sample)`.
+    samples: Vec<(usize, PhasorSample)>,
+}
+
+impl FeedUnit {
+    /// Push the samples under the session lock, in order.
+    fn drain(&self) -> Vec<(usize, Result<StreamEvent, ServeError>)> {
+        let tag = FeedTag { grid: &self.grid.name, feed: self.feed };
+        let mut session = self.session.lock().unwrap_or_else(|p| p.into_inner());
+        self.samples
+            .iter()
+            .map(|(pos, sample)| {
+                let t0 = Instant::now();
+                let event = self.grid.core.push_one(&tag, &mut session, sample);
+                self.push_us.observe(t0.elapsed().as_secs_f64() * 1e6);
+                (*pos, event)
+            })
+            .collect()
+    }
+}
+
 /// A multi-grid serving fleet. See the [module docs](self).
 ///
 /// All serving-path methods take `&self`: the fleet is `Arc`-shareable
 /// with the observability endpoint and with concurrent pushers. Only
 /// [`Fleet::add_grid`] (a boot-time operation) needs `&mut self`.
 pub struct Fleet {
-    grids: Vec<GridEntry>,
+    /// Shared with in-flight drain units, which outlive no batch but
+    /// run on pool threads.
+    grids: Vec<Arc<GridEntry>>,
     shards: Vec<Shard>,
     router: RwLock<HashMap<FeedKey, Route>>,
     queue_capacity: usize,
+    pool: DrainPool,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -236,6 +278,7 @@ impl Fleet {
             shards: (0..n).map(Shard::new).collect(),
             router: RwLock::new(HashMap::new()),
             queue_capacity: cfg.queue_capacity.max(1),
+            pool: DrainPool::new(),
         }
     }
 
@@ -252,10 +295,10 @@ impl Fleet {
         if self.grids.iter().any(|g| g.name == name) {
             return Err(ServeError::DuplicateGrid(name.to_string()));
         }
-        self.grids.push(GridEntry {
+        self.grids.push(Arc::new(GridEntry {
             name: name.to_string(),
             core: EngineCore::from_bundle(bundle, cfg),
-        });
+        }));
         pmu_obs::gauge!("serve.fleet_grids").set(self.grids.len() as f64);
         Ok(GridId(self.grids.len() as u32 - 1))
     }
@@ -362,7 +405,7 @@ impl Fleet {
         let sid = {
             let mut table =
                 self.shards[shard_idx].table.lock().unwrap_or_else(|p| p.into_inner());
-            table.open(FleetSession { grid: key.grid.0, state })
+            table.open(state)
         };
         router.insert(key, Route { shard: shard_idx as u32, sid });
         pmu_obs::counter!("serve.sessions_opened").inc();
@@ -412,13 +455,20 @@ impl Fleet {
             let router = self.router.read().unwrap_or_else(|p| p.into_inner());
             *router.get(&key)?
         };
+        let session = self.session(route)?;
+        let session = session.lock().unwrap_or_else(|p| p.into_inner());
+        Some(session.health())
+    }
+
+    /// A routed feed's session, looked up under its shard's table lock and
+    /// returned with that lock released, so waiting for the session never
+    /// holds up its shard-mates.
+    fn session(&self, route: Route) -> Option<Arc<Mutex<SessionState>>> {
         let table = self.shards[route.shard as usize]
             .table
             .lock()
             .unwrap_or_else(|p| p.into_inner());
-        let session = table.resolve(route.sid)?;
-        let session = session.lock().unwrap_or_else(|p| p.into_inner());
-        Some(session.state.health())
+        table.resolve(route.sid).cloned()
     }
 
     /// Health of every open feed, sorted by (grid, feed).
@@ -432,13 +482,19 @@ impl Fleet {
     /// Advance many feeds by one tick. Entries are routed to their home
     /// shards; each shard admits up to its remaining ingress budget
     /// (shedding the excess, newest first, with
-    /// [`ServeError::Overloaded`]) and drains sequentially under its own
-    /// lock while distinct shards drain in parallel. Per-feed sample
-    /// order is the input order; results come back in input order.
+    /// [`ServeError::Overloaded`]). Admitted entries are grouped into one
+    /// unit per feed, and the units drain on the fleet's persistent pool
+    /// (the calling thread included), each under its own session lock;
+    /// see the [module docs](self#draining). Per-feed sample order is the
+    /// input order; results come back in input order.
     ///
     /// Unknown keys fail their own entries with
     /// [`ServeError::UnknownFeed`]; guard rejections with
     /// [`ServeError::BadSample`].
+    ///
+    /// # Panics
+    /// Re-raises, with its payload, a panic raised while draining a feed,
+    /// after the batch's admission accounting has been settled.
     pub fn push_batch(
         &self,
         batch: &[(FeedKey, PhasorSample)],
@@ -450,23 +506,24 @@ impl Fleet {
 
         let mut out: Vec<Option<Result<StreamEvent, ServeError>>> = vec![None; batch.len()];
 
-        // Resolve routes under one read lock; group positions per shard,
-        // preserving batch order within each group.
+        // Routing and session lookup happen under one router read lock,
+        // so a concurrent migration is seen entirely before or after.
+        // Group positions per shard, preserving batch order within each.
+        let router = self.router.read().unwrap_or_else(|p| p.into_inner());
         let mut per_shard: Vec<Vec<(usize, SessionId)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
-        {
-            let router = self.router.read().unwrap_or_else(|p| p.into_inner());
-            for (pos, (key, _)) in batch.iter().enumerate() {
-                match router.get(key) {
-                    Some(route) => per_shard[route.shard as usize].push((pos, route.sid)),
-                    None => out[pos] = Some(Err(ServeError::UnknownFeed(*key))),
-                }
+        for (pos, (key, _)) in batch.iter().enumerate() {
+            match router.get(key) {
+                Some(route) => per_shard[route.shard as usize].push((pos, route.sid)),
+                None => out[pos] = Some(Err(ServeError::UnknownFeed(*key))),
             }
         }
 
         // Admission: reserve ingress room per shard with a CAS loop (so
         // concurrent batches cannot overshoot the bound), shed the rest.
-        let mut work: Vec<(usize, Vec<(usize, SessionId)>)> = Vec::new();
+        let mut admitted: Vec<(usize, usize)> = Vec::new();
+        let mut units: Vec<FeedUnit> = Vec::new();
+        let mut unit_of: HashMap<FeedKey, usize> = HashMap::new();
         for (shard_idx, mut group) in per_shard.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
@@ -496,52 +553,53 @@ impl Fleet {
                 }
             }
             shard.inflight_gauge.set(shard.inflight.load(Ordering::Relaxed) as f64);
-            if !group.is_empty() {
-                work.push((shard_idx, group));
+            if group.is_empty() {
+                continue;
+            }
+            admitted.push((shard_idx, group.len()));
+
+            // One unit per feed; the table lock covers the lookups only.
+            let table = shard.table.lock().unwrap_or_else(|p| p.into_inner());
+            for (pos, sid) in group {
+                let (key, sample) = &batch[pos];
+                let Some(session) = table.resolve(sid) else {
+                    // Router and tables agree while the router lock is
+                    // held; kept typed rather than trusted.
+                    out[pos] = Some(Err(ServeError::UnknownFeed(*key)));
+                    continue;
+                };
+                let unit = *unit_of.entry(*key).or_insert_with(|| {
+                    units.push(FeedUnit {
+                        grid: Arc::clone(&self.grids[key.grid.index()]),
+                        feed: key.feed,
+                        session: Arc::clone(session),
+                        push_us: shard.push_us,
+                        samples: Vec::new(),
+                    });
+                    units.len() - 1
+                });
+                units[unit].samples.push((pos, sample.clone()));
             }
         }
+        drop(router);
 
-        // Drain: one parallel task per shard with admitted work.
-        let per_group: Vec<Vec<(usize, Result<StreamEvent, ServeError>)>> =
-            par::par_map(&work, |(shard_idx, group)| {
-                let shard = &self.shards[*shard_idx];
-                let drain_started = Instant::now();
-                let table = shard.table.lock().unwrap_or_else(|p| p.into_inner());
-                let mut res = Vec::with_capacity(group.len());
-                for &(pos, sid) in group {
-                    let (key, sample) = &batch[pos];
-                    let Some(slot) = table.resolve(sid) else {
-                        // Closed between routing and drain.
-                        res.push((pos, Err(ServeError::UnknownFeed(*key))));
-                        continue;
-                    };
-                    let mut session = slot.lock().unwrap_or_else(|p| p.into_inner());
-                    let core = &self.grids[session.grid as usize].core;
-                    let tag =
-                        FeedTag { grid: &self.grids[session.grid as usize].name, feed: key.feed };
-                    let t0 = Instant::now();
-                    let event = core.push_one(&tag, &mut session.state, sample);
-                    shard.push_us.observe(t0.elapsed().as_secs_f64() * 1e6);
-                    res.push((pos, event));
-                }
-                drop(table);
-                let drained = group.len();
-                shard.inflight.fetch_sub(drained, Ordering::Relaxed);
-                shard.drained.fetch_add(drained as u64, Ordering::Relaxed);
-                let secs = drain_started.elapsed().as_secs_f64();
-                if secs > 0.0 {
-                    let rate = drained as f64 / secs;
-                    shard.drain_rate_bits.store(rate.to_bits(), Ordering::Relaxed);
-                    shard.drain_rate_gauge.set(rate);
-                }
-                shard.inflight_gauge.set(shard.inflight.load(Ordering::Relaxed) as f64);
-                res
-            });
-
-        for group in per_group {
-            for (pos, event) in group {
-                out[pos] = Some(event);
+        let drain_started = Instant::now();
+        let drained = self.pool.map(units, par::num_threads(), FeedUnit::drain);
+        let secs = drain_started.elapsed().as_secs_f64();
+        for (shard_idx, n) in admitted {
+            let shard = &self.shards[shard_idx];
+            shard.inflight.fetch_sub(n, Ordering::Relaxed);
+            shard.drained.fetch_add(n as u64, Ordering::Relaxed);
+            if secs > 0.0 {
+                let rate = n as f64 / secs;
+                shard.drain_rate_bits.store(rate.to_bits(), Ordering::Relaxed);
+                shard.drain_rate_gauge.set(rate);
             }
+            shard.inflight_gauge.set(shard.inflight.load(Ordering::Relaxed) as f64);
+        }
+        let drained = drained.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        for (pos, event) in drained.into_iter().flatten() {
+            out[pos] = Some(event);
         }
         sp.record("ms", started.elapsed().as_secs_f64() * 1e3);
         out.into_iter().map(|o| o.expect("every batch position classified")).collect()
@@ -558,13 +616,9 @@ impl Fleet {
             router.get(&key).copied().ok_or(ServeError::UnknownFeed(key))?
         };
         let core = self.core(key.grid)?;
-        let table = self.shards[route.shard as usize]
-            .table
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let session = table.resolve(route.sid).ok_or(ServeError::UnknownFeed(key))?;
+        let session = self.session(route).ok_or(ServeError::UnknownFeed(key))?;
         let session = session.lock().unwrap_or_else(|p| p.into_inner());
-        Ok(session.state.to_snapshot(
+        Ok(session.to_snapshot(
             &core.system,
             &core.network_fingerprint,
             self.grid_name(key.grid),
@@ -642,8 +696,10 @@ impl Fleet {
         } else {
             (&mut hi_table, &mut lo_table)
         };
+        // The session itself moves (not a copy), so a drain that resolved
+        // it before the move still pushes into the one live session.
         let session = src.take(route.sid).ok_or(ServeError::UnknownFeed(key))?;
-        let sid = dst.open(session);
+        let sid = dst.insert(session);
         route.shard = to_shard as u32;
         route.sid = sid;
         pmu_obs::counter!("serve.sessions_migrated").inc();
@@ -971,6 +1027,324 @@ mod tests {
         assert_eq!(transitions(a).first(), Some(&2));
         assert_eq!(transitions(a).last(), Some(&0), "recovery is recorded under a's id");
         assert_eq!(transitions(b), vec![2], "b's record stream is untouched by a");
+    }
+
+    /// Serializes the tests that set the process-wide worker count, and
+    /// restores the default when dropped.
+    struct Workers(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+    fn workers(n: usize) -> Workers {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        par::set_threads(n);
+        Workers(guard)
+    }
+
+    impl Drop for Workers {
+        fn drop(&mut self) {
+            par::set_threads(0);
+        }
+    }
+
+    /// Feed `f`'s sample at tick `t`: even feeds ride an outage case,
+    /// odd feeds see normal traffic.
+    fn feed_sample(data: &Dataset, f: usize, t: usize) -> PhasorSample {
+        if f % 2 == 1 {
+            data.normal_test.sample((t + f) % data.normal_test.len())
+        } else {
+            let case = &data.cases[(f / 2) % data.cases.len()];
+            case.test.sample(t % case.test.len())
+        }
+    }
+
+    fn lone_replay(bundle: &ModelBundle, samples: &[PhasorSample]) -> Vec<StreamEvent> {
+        let mut lone = StreamingDetector::new(bundle.detector.clone(), StreamConfig::default());
+        samples.iter().map(|s| lone.push(s).unwrap()).collect()
+    }
+
+    /// Run `f` on its own thread and fail (instead of hanging the suite)
+    /// when it has not returned within `secs`.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(value) => {
+                handle.join().expect("the value was sent before the thread ended");
+                value
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("deadlock: no answer within {secs} s")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().unwrap_err())
+            }
+        }
+    }
+
+    /// Nine feed units on one shard, feed 0 three times per batch: on one
+    /// worker and on two (where units are stolen across threads), every
+    /// feed's events equal a lone detector's replay of that feed.
+    #[test]
+    fn per_feed_units_replay_like_lone_detectors_on_one_and_two_workers() {
+        let data = tiny_dataset();
+        let bundle = bundle_for(&data);
+        const FEEDS: usize = 9;
+        const TICKS: usize = 8;
+        for n in [1, 2] {
+            let _w = workers(n);
+            let mut fleet = Fleet::new(FleetConfig { shards: 1, ..FleetConfig::default() });
+            let grid = fleet.add_grid("east", bundle.clone(), &EngineConfig::default()).unwrap();
+            let keys: Vec<FeedKey> =
+                (0..FEEDS as u64).map(|feed| FeedKey { grid, feed }).collect();
+            for &k in &keys {
+                fleet.open_feed(k).unwrap();
+            }
+            let mut sent: Vec<Vec<PhasorSample>> = vec![Vec::new(); FEEDS];
+            let mut got: Vec<Vec<StreamEvent>> = vec![Vec::new(); FEEDS];
+            let mut next = [0usize; FEEDS];
+            for _ in 0..TICKS {
+                // Feed 0 at the front, the middle and the end of the batch.
+                let order: Vec<usize> =
+                    [0].into_iter().chain(1..5).chain([0]).chain(5..FEEDS).chain([0]).collect();
+                let batch: Vec<(FeedKey, PhasorSample)> = order
+                    .iter()
+                    .map(|&f| {
+                        let sample = feed_sample(&data, f, next[f]);
+                        next[f] += 1;
+                        sent[f].push(sample.clone());
+                        (keys[f], sample)
+                    })
+                    .collect();
+                for (&f, event) in order.iter().zip(fleet.push_batch(&batch)) {
+                    got[f].push(event.unwrap());
+                }
+            }
+            assert_eq!(fleet.pool.helpers(), n - 1, "{n} worker(s)");
+            for f in 0..FEEDS {
+                assert_eq!(got[f], lone_replay(&bundle, &sent[f]), "feed {f} on {n} worker(s)");
+            }
+            assert!(got[0].iter().any(|e| *e != StreamEvent::None), "feed 0 raised");
+            assert_eq!(fleet.shard_stats()[0].drained, (TICKS * (FEEDS + 2)) as u64);
+        }
+    }
+
+    /// Two threads push batches while a third migrates one of the first
+    /// thread's feeds back and forth and closes one of the second's. No
+    /// deadlock, one answer per entry, the migrated feed replays like a
+    /// lone detector, and the closed feed answers `UnknownFeed` from its
+    /// close on.
+    #[test]
+    fn concurrent_pushes_migrations_and_closes_answer_every_entry_once() {
+        let _w = workers(2);
+        let data = tiny_dataset();
+        let bundle = bundle_for(&data);
+        let mut fleet = Fleet::new(FleetConfig { shards: 2, ..FleetConfig::default() });
+        let grid = fleet.add_grid("east", bundle.clone(), &EngineConfig::default()).unwrap();
+        let keys: Vec<FeedKey> = (0..8u64).map(|feed| FeedKey { grid, feed }).collect();
+        for &k in &keys {
+            fleet.open_feed(k).unwrap();
+        }
+        let (migrated, closed) = (keys[0], keys[4]);
+        let fleet = Arc::new(fleet);
+        let data = Arc::new(data);
+        const ROUNDS: usize = 200;
+
+        let results = within(120, {
+            let (fleet, data) = (Arc::clone(&fleet), Arc::clone(&data));
+            move || {
+                let pusher = |feeds: std::ops::Range<usize>| {
+                    let (fleet, data) = (Arc::clone(&fleet), Arc::clone(&data));
+                    let keys = keys.clone();
+                    std::thread::spawn(move || {
+                        (0..ROUNDS)
+                            .map(|t| {
+                                let batch: Vec<_> = feeds
+                                    .clone()
+                                    .map(|f| (keys[f], feed_sample(&data, f, t)))
+                                    .collect();
+                                let events = fleet.push_batch(&batch);
+                                assert_eq!(events.len(), batch.len(), "one answer per entry");
+                                events
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                };
+                let (a, b) = (pusher(0..4), pusher(4..8));
+                // Migrate until both pushers are done; close midway.
+                let mut moves = 0usize;
+                while !(a.is_finished() && b.is_finished()) {
+                    fleet.migrate_feed(migrated, moves % 2).unwrap();
+                    moves += 1;
+                    if moves == 200 {
+                        assert!(fleet.close_feed(closed));
+                    }
+                }
+                if moves < 200 {
+                    assert!(fleet.close_feed(closed));
+                }
+                (a.join().unwrap(), b.join().unwrap())
+            }
+        });
+        let (a, b) = results;
+
+        for round in &a {
+            assert!(round.iter().all(|e| e.is_ok()), "first pusher's feeds stay open");
+        }
+        let moved: Vec<StreamEvent> = a.iter().map(|r| r[0].clone().unwrap()).collect();
+        let sent: Vec<PhasorSample> = (0..ROUNDS).map(|t| feed_sample(&data, 0, t)).collect();
+        assert_eq!(moved, lone_replay(&bundle, &sent), "migrated feed replays like a lone one");
+
+        let first_closed = b.iter().position(|r| r[0].is_err()).unwrap_or(ROUNDS);
+        for (t, round) in b.iter().enumerate() {
+            assert!(round[1..].iter().all(|e| e.is_ok()), "other feeds unaffected at {t}");
+            if t < first_closed {
+                assert!(round[0].is_ok());
+            } else {
+                assert_eq!(round[0], Err(ServeError::UnknownFeed(closed)), "closed stays closed");
+            }
+        }
+        assert!(fleet.health(closed).is_none());
+        assert!(fleet.shard_stats().iter().all(|s| s.inflight == 0));
+    }
+
+    /// A feed held up inside its own push (here: a test thread holds its
+    /// session lock while a push to it is in flight, standing in for a
+    /// slow incident dump) no longer stalls its shard-mates: a push to
+    /// another feed on the same shard, and a health read, finish while
+    /// the lock is held.
+    #[test]
+    fn a_stalled_feed_does_not_block_its_shard_mates() {
+        let data = tiny_dataset();
+        let (fleet, east, _) =
+            two_grid_fleet(&data, FleetConfig { shards: 1, ..FleetConfig::default() });
+        let (slow, quick) = (FeedKey { grid: east, feed: 1 }, FeedKey { grid: east, feed: 2 });
+        fleet.open_feed(slow).unwrap();
+        fleet.open_feed(quick).unwrap();
+        let route = fleet.router.read().unwrap()[&slow];
+        let session = fleet.session(route).unwrap();
+        let fleet = Arc::new(fleet);
+        let sample = data.normal_test.sample(0);
+
+        let held = session.lock().unwrap();
+        let stalled = {
+            let (fleet, sample) = (Arc::clone(&fleet), sample.clone());
+            std::thread::spawn(move || fleet.push_batch(&[(slow, sample)]).remove(0))
+        };
+        // The stalled push has looked the session up (its unit holds the
+        // third reference) and goes on to wait for the held lock.
+        while Arc::strong_count(&session) < 3 {
+            std::thread::yield_now();
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let quick_push = {
+            let (fleet, sample) = (Arc::clone(&fleet), sample.clone());
+            std::thread::spawn(move || {
+                let event = fleet.push_batch(&[(quick, sample)]).remove(0);
+                let _ = tx.send((event, fleet.health(quick).map(|h| h.pushed)));
+            })
+        };
+        let answer = rx.recv_timeout(std::time::Duration::from_secs(30));
+        drop(held);
+        let (event, pushed) = answer.expect("a shard-mate's push finished while the lock was held");
+        quick_push.join().unwrap();
+        assert!(event.is_ok());
+        assert_eq!(pushed, Some(1));
+        // Released, the stalled push completes.
+        assert!(stalled.join().unwrap().is_ok());
+        assert_eq!(fleet.health(slow).unwrap().pushed, 1);
+    }
+
+    /// A drain job that panics on a pool helper re-raises its payload on
+    /// the caller, and the same fleet then serves the next batch (on the
+    /// same helper) exactly like lone detectors.
+    #[test]
+    fn a_drain_panic_reaches_the_caller_and_the_fleet_serves_on() {
+        let _w = workers(2);
+        let data = tiny_dataset();
+        let bundle = bundle_for(&data);
+        let mut fleet = Fleet::new(FleetConfig { shards: 1, ..FleetConfig::default() });
+        let grid = fleet.add_grid("east", bundle.clone(), &EngineConfig::default()).unwrap();
+        let keys: Vec<FeedKey> = (0..4u64).map(|feed| FeedKey { grid, feed }).collect();
+        for &k in &keys {
+            fleet.open_feed(k).unwrap();
+        }
+        // Two units that wait for each other run on two threads, so one
+        // runs on the helper, which panics.
+        let both = Arc::new(std::sync::Barrier::new(2));
+        let payload = fleet
+            .pool
+            .map(vec![Arc::clone(&both), both], 2, |b| {
+                b.wait();
+                if std::thread::current().name().is_some_and(|n| n.starts_with("pmu-drain")) {
+                    panic!("drain payload");
+                }
+            })
+            .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"drain payload"));
+        assert_eq!(fleet.pool.live_probe()(), 1, "the helper survived");
+
+        let batch: Vec<_> = keys.iter().map(|&k| (k, feed_sample(&data, 0, 0))).collect();
+        let events = fleet.push_batch(&batch);
+        let lone = lone_replay(&bundle, &[feed_sample(&data, 0, 0)]);
+        assert!(events.iter().all(|e| e.as_ref() == Ok(&lone[0])));
+        assert_eq!(fleet.shard_stats()[0].inflight, 0);
+    }
+
+    #[test]
+    fn dropping_a_fleet_joins_its_helpers() {
+        let _w = workers(2);
+        let data = tiny_dataset();
+        let (fleet, east, west) = two_grid_fleet(&data, FleetConfig::default());
+        let (a, b) = (FeedKey { grid: east, feed: 0 }, FeedKey { grid: west, feed: 0 });
+        fleet.open_feed(a).unwrap();
+        fleet.open_feed(b).unwrap();
+        let live = fleet.pool.live_probe();
+        assert_eq!(live(), 0, "building a fleet starts no thread");
+        let sample = data.normal_test.sample(0);
+        assert!(fleet.push_batch(&[(a, sample.clone()), (b, sample)]).iter().all(|e| e.is_ok()));
+        assert_eq!(live(), 1, "the first two-feed batch starts the helper");
+        drop(fleet);
+        assert_eq!(live(), 0, "drop returns after the helper exited");
+    }
+
+    /// Set-up starts no thread on any worker count, and a one-worker
+    /// fleet never starts one: it drains on the calling thread.
+    #[test]
+    fn setup_and_one_worker_start_no_helper() {
+        let data = tiny_dataset();
+        let bundle = bundle_for(&data);
+        let snap = {
+            let _w = workers(2);
+            let mut fleet = Fleet::new(FleetConfig::default());
+            let grid = fleet.add_grid("east", bundle.clone(), &EngineConfig::default()).unwrap();
+            let key = FeedKey { grid, feed: 100 };
+            fleet.open_feed(key).unwrap();
+            fleet.push_batch(&[(key, data.normal_test.sample(0))]).remove(0).unwrap();
+            assert_eq!(fleet.pool.helpers(), 0, "a one-feed batch is one unit");
+            fleet.snapshot_feed(key).unwrap()
+        };
+
+        let _w = workers(1);
+        let mut fleet = Fleet::new(FleetConfig { shards: 2, ..FleetConfig::default() });
+        let grid = fleet.add_grid("east", bundle, &EngineConfig::default()).unwrap();
+        let restored = fleet.restore_feed(&snap).unwrap();
+        let keys: Vec<FeedKey> = (0..6u64).map(|feed| FeedKey { grid, feed }).collect();
+        for &k in &keys {
+            fleet.open_feed(k).unwrap();
+        }
+        for t in 0..4 {
+            let batch: Vec<_> = keys
+                .iter()
+                .chain([&restored])
+                .enumerate()
+                .map(|(f, &k)| (k, feed_sample(&data, f, t)))
+                .collect();
+            assert!(fleet.push_batch(&batch).iter().all(|e| e.is_ok()));
+        }
+        assert_eq!(fleet.pool.helpers(), 0);
+        assert_eq!(fleet.pool.live_probe()(), 0);
     }
 
     #[test]

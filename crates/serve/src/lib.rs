@@ -15,11 +15,11 @@
 //! - **Feeds** — [`Fleet::open_feed`] creates a per-feed
 //!   [`StreamingDetector`](pmu_detect::stream::StreamingDetector) (k-of-m
 //!   voting, raise/clear events, health snapshots) addressed by a
-//!   [`FeedKey`]. Feeds are sharded across worker-aligned per-shard
-//!   tables; [`Fleet::push_batch`] advances many feeds of many grids by
-//!   one tick in parallel while preserving per-feed sample order, under
-//!   bounded-ingress admission control (shedding with
-//!   [`ServeError::Overloaded`]). Sessions are *mobile*:
+//!   [`FeedKey`]. Feeds are sharded across per-shard tables;
+//!   [`Fleet::push_batch`] advances many feeds of many grids by one tick,
+//!   one unit per feed on a persistent drain pool, while preserving
+//!   per-feed sample order, under bounded-ingress admission control
+//!   (shedding with [`ServeError::Overloaded`]). Sessions are *mobile*:
 //!   [`Fleet::snapshot_feed`] / [`Fleet::restore_feed`] round-trip a
 //!   feed's complete serving state through a checksummed
 //!   [`SessionSnapshot`](pmu_model::SessionSnapshot) bit-identically,
@@ -51,6 +51,7 @@
 pub mod engine;
 pub mod fleet;
 pub mod http;
+mod pool;
 pub mod session;
 
 pub use engine::{

@@ -4,7 +4,7 @@
 //! machine + flight-recorder ring).
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use pmu_detect::stream::{HealthSnapshot, StreamingDetector};
 use pmu_model::SessionSnapshot;
@@ -43,10 +43,12 @@ impl std::fmt::Display for FeedTag<'_> {
 
 /// One slot of a session table. The generation survives the occupant:
 /// it is bumped on every close, which is what invalidates stale handles.
+/// The occupant is shared (`Arc`), so a drain can lock one session
+/// without holding the table, and a migration moves the session itself.
 #[derive(Debug)]
 struct Slot<S> {
     generation: u32,
-    state: Option<Mutex<S>>,
+    state: Option<Arc<Mutex<S>>>,
 }
 
 /// A generation-tagged slot table with an O(1) free list.
@@ -73,14 +75,19 @@ impl<S> SessionTable<S> {
 
     /// Insert `state` into a free slot (O(1)) and return its handle.
     pub(crate) fn open(&mut self, state: S) -> SessionId {
+        self.insert(Arc::new(Mutex::new(state)))
+    }
+
+    /// Home an existing session (the migration path) in a free slot.
+    pub(crate) fn insert(&mut self, session: Arc<Mutex<S>>) -> SessionId {
         let slot = match self.free.pop() {
             Some(i) => {
                 debug_assert!(self.slots[i as usize].state.is_none());
-                self.slots[i as usize].state = Some(Mutex::new(state));
+                self.slots[i as usize].state = Some(session);
                 i as usize
             }
             None => {
-                self.slots.push(Slot { generation: 0, state: Some(Mutex::new(state)) });
+                self.slots.push(Slot { generation: 0, state: Some(session) });
                 self.slots.len() - 1
             }
         };
@@ -94,9 +101,9 @@ impl<S> SessionTable<S> {
         self.take(id).is_some()
     }
 
-    /// Close a session and hand back its state (the migration path).
-    /// `None` when the handle is not open.
-    pub(crate) fn take(&mut self, id: SessionId) -> Option<S> {
+    /// Close a session and hand back the session itself (the migration
+    /// path). `None` when the handle is not open.
+    pub(crate) fn take(&mut self, id: SessionId) -> Option<Arc<Mutex<S>>> {
         let slot = self.slots.get_mut(id.slot as usize)?;
         if slot.generation != id.generation || slot.state.is_none() {
             return None;
@@ -104,11 +111,11 @@ impl<S> SessionTable<S> {
         let state = slot.state.take().expect("checked above");
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.slot);
-        Some(state.into_inner().unwrap_or_else(|p| p.into_inner()))
+        Some(state)
     }
 
-    /// Resolve a handle to its live slot, or `None` when closed/stale.
-    pub(crate) fn resolve(&self, id: SessionId) -> Option<&Mutex<S>> {
+    /// Resolve a handle to its live session, or `None` when closed/stale.
+    pub(crate) fn resolve(&self, id: SessionId) -> Option<&Arc<Mutex<S>>> {
         let slot = self.slots.get(id.slot as usize)?;
         if slot.generation != id.generation {
             return None;
@@ -492,9 +499,16 @@ mod tests {
     fn take_hands_back_state_for_migration() {
         let mut table: SessionTable<String> = SessionTable::new();
         let id = table.open("payload".into());
-        assert_eq!(table.take(id).as_deref(), Some("payload"));
-        assert_eq!(table.take(id), None, "second take finds nothing");
+        let taken = table.take(id).expect("open handle");
+        assert_eq!(*taken.lock().unwrap(), "payload");
+        assert!(table.take(id).is_none(), "second take finds nothing");
         assert_eq!(table.active(), 0);
+        let mut other: SessionTable<String> = SessionTable::new();
+        let moved = other.insert(Arc::clone(&taken));
+        assert!(
+            Arc::ptr_eq(other.resolve(moved).unwrap(), &taken),
+            "a migration moves the session itself, not a copy"
+        );
         let reused = table.open("next".into());
         assert_eq!(reused.slot, id.slot);
         assert_ne!(reused.generation, id.generation);

@@ -66,7 +66,9 @@ fn json_field(line: &str, key: &str) -> Option<String> {
 /// record that survives the seqlock check must be internally consistent
 /// (payload words written by one writer, never torn), the loss is
 /// bounded and accounted, and a quiescent snapshot retains exactly the
-/// last `capacity` records in order.
+/// last `capacity` records in order. Writers pause halfway until the
+/// reader has taken a snapshot holding records, so the race is real
+/// however the scheduler runs the threads.
 #[test]
 fn concurrent_writers_never_tear_records() {
     let _g = lock();
@@ -76,12 +78,19 @@ fn concurrent_writers_never_tear_records() {
     let ring = Arc::new(Recorder::new(256));
     let label = label_id("test.torn");
     let stop = Arc::new(AtomicBool::new(false));
+    let seen = Arc::new(AtomicBool::new(false));
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let ring = Arc::clone(&ring);
+            let seen = Arc::clone(&seen);
             std::thread::spawn(move || {
                 for i in 0..PER_WRITER {
+                    if i == PER_WRITER / 2 {
+                        while !seen.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
                     let a = (w as u64) << 32 | i;
                     ring.record(RecKind::Metric, label, a, a ^ MAGIC);
                 }
@@ -91,6 +100,7 @@ fn concurrent_writers_never_tear_records() {
     let reader = {
         let ring = Arc::clone(&ring);
         let stop = Arc::clone(&stop);
+        let seen = Arc::clone(&seen);
         std::thread::spawn(move || {
             let mut snapshots = 0usize;
             let mut dropped_total = 0u64;
@@ -105,7 +115,10 @@ fn concurrent_writers_never_tear_records() {
                     );
                 }
                 dropped_total += snap.dropped;
-                snapshots += 1;
+                if !snap.records.is_empty() {
+                    snapshots += 1;
+                    seen.store(true, Ordering::Release);
+                }
             }
             (snapshots, dropped_total)
         })
