@@ -277,28 +277,6 @@ impl Detector {
         &self.subspaces
     }
 
-    /// Serialize the trained model to JSON. Training is the expensive
-    /// step (many power-flow solves feed it); a control center trains in
-    /// the day-ahead planning stage and ships the serialized model to the
-    /// online application.
-    ///
-    /// # Errors
-    /// Returns [`DetectError::InvalidTrainingData`] when serialization
-    /// fails (cannot happen for a well-formed model).
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self)
-            .map_err(|e| DetectError::InvalidTrainingData(format!("serialize: {e}")))
-    }
-
-    /// Deserialize a trained model from [`Detector::to_json`] output.
-    ///
-    /// # Errors
-    /// Returns [`DetectError::InvalidTrainingData`] for malformed input.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json)
-            .map_err(|e| DetectError::InvalidTrainingData(format!("deserialize: {e}")))
-    }
-
     /// This detector with a different stage-2 shortlist setting.
     ///
     /// The shortlist is a pure scoring-time strategy — no trained state
@@ -1671,43 +1649,5 @@ mod tests {
             "best node near outage in only {near}/{} cases",
             data.n_cases()
         );
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use pmu_grid::cases::ieee14;
-    use pmu_sim::{generate_dataset, GenConfig};
-
-    #[test]
-    fn json_roundtrip_preserves_detections() {
-        let net = ieee14().unwrap();
-        let gen = GenConfig { train_len: 16, test_len: 5, ..GenConfig::default() };
-        let data = generate_dataset(&net, &gen).unwrap();
-        let det = train_default(&data).unwrap();
-
-        let json = det.to_json().unwrap();
-        assert!(json.len() > 1000, "model JSON suspiciously small");
-        let restored = Detector::from_json(&json).unwrap();
-
-        assert_eq!(restored.n_nodes(), det.n_nodes());
-        assert_eq!(restored.threshold(), det.threshold());
-        assert_eq!(restored.ratio_cut(), det.ratio_cut());
-        // Identical verdicts on every test sample.
-        for case in &data.cases {
-            let s = case.test.sample(0);
-            let a = det.detect(&s).unwrap();
-            let b = restored.detect(&s).unwrap();
-            assert_eq!(a.outage, b.outage);
-            assert_eq!(a.lines, b.lines);
-            assert_eq!(a.normal_residual, b.normal_residual);
-        }
-    }
-
-    #[test]
-    fn malformed_json_rejected() {
-        assert!(Detector::from_json("{not json").is_err());
-        assert!(Detector::from_json("{}").is_err());
     }
 }

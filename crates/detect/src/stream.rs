@@ -353,25 +353,26 @@ impl StreamingDetector {
     /// Propagates only structural errors (wrong sample size, non-finite
     /// observed values); transient insufficiency is absorbed as described.
     pub fn push(&mut self, sample: &PhasorSample) -> Result<StreamEvent> {
-        self.samples_seen += 1;
+        // Counters saturate: a restored snapshot may carry any value.
+        self.samples_seen = self.samples_seen.saturating_add(1);
         pmu_obs::counter!("detect.stream_samples").inc();
         let verdict = match self.detector.detect_with_cache(sample, &self.cache) {
             Ok(d) => {
                 if !d.suspect_nodes.is_empty() {
-                    self.bad_data_samples += 1;
+                    self.bad_data_samples = self.bad_data_samples.saturating_add(1);
                     pmu_obs::counter!("detect.stream_bad_data").inc();
                 }
                 Some(d)
             }
             Err(crate::DetectError::InsufficientData { .. }) => {
-                self.missing_samples += 1;
+                self.missing_samples = self.missing_samples.saturating_add(1);
                 pmu_obs::counter!("detect.stream_missing").inc();
                 None
             }
             Err(e) => return Err(e),
         };
         let voted_outage = verdict.as_ref().is_some_and(|d| d.outage);
-        self.alarm_streak = if voted_outage { self.alarm_streak + 1 } else { 0 };
+        self.alarm_streak = if voted_outage { self.alarm_streak.saturating_add(1) } else { 0 };
         if self.history.len() == self.cfg.window {
             self.history.pop_front();
         }
@@ -387,7 +388,7 @@ impl StreamingDetector {
         match &self.state {
             StreamState::Quiet if outage_votes >= self.cfg.votes => {
                 let lines = self.voted_lines();
-                self.events_raised += 1;
+                self.events_raised = self.events_raised.saturating_add(1);
                 pmu_obs::events::StreamRaised {
                     lines: lines.clone(),
                     samples_seen: self.samples_seen,
@@ -397,7 +398,7 @@ impl StreamingDetector {
                 Ok(StreamEvent::Raised { lines, suspect_nodes: self.voted_suspects() })
             }
             StreamState::Outage { .. } if quiet_votes >= self.cfg.votes => {
-                self.events_cleared += 1;
+                self.events_cleared = self.events_cleared.saturating_add(1);
                 pmu_obs::events::StreamCleared { samples_seen: self.samples_seen }
                     .emit();
                 self.state = StreamState::Quiet;

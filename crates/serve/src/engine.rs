@@ -1,12 +1,12 @@
 //! The per-grid serving core behind [`Fleet`](crate::Fleet).
 //!
-//! [`EngineCore`] holds one loaded bundle's immutable half: the trained
-//! [`Detector`] (shared by every feed of the grid and by the stateless
-//! batch path), the mask-keyed scoring cache, the ingestion guard, the
-//! per-push pipeline and the incident machinery. It owns no sessions;
-//! the fleet keeps those in per-shard tables and pushes every feed
-//! through [`EngineCore::push_one`], so all grids and shards serve
-//! identical per-feed semantics.
+//! [`EngineCore`] holds one registered grid's name and its loaded
+//! bundle's immutable half: the trained [`Detector`] (shared by every
+//! feed of the grid and by the stateless batch path), the mask-keyed
+//! scoring cache, the ingestion guard, the per-push pipeline and the
+//! incident machinery. It owns no sessions; the fleet's router keeps
+//! those and pushes every feed through [`EngineCore::push_one`], so all
+//! grids and shards serve identical per-feed semantics.
 //!
 //! ## Robustness model
 //!
@@ -30,7 +30,7 @@ use pmu_obs::{Recorder, Value};
 use pmu_sim::PhasorSample;
 
 use crate::session::{FeedTag, Outcome, SessionState};
-pub use crate::session::{DegradeConfig, DegradeReason, FeedMode, SessionHealth};
+pub use crate::session::{DegradeReason, FeedMode, SessionHealth};
 
 /// Interned per-feed ring labels, resolved once per process.
 fn push_labels() -> (LabelId, LabelId, LabelId, LabelId) {
@@ -169,63 +169,53 @@ pub struct IncidentConfig {
     pub dir: Option<PathBuf>,
     /// Dump when a session's voting window raises a stream event.
     pub on_raise: bool,
-    /// Dump when a feed turns [`FeedMode::Degraded`].
-    pub on_degraded: bool,
     /// Dump when a feed turns [`FeedMode::Dark`].
     pub on_dark: bool,
-    /// Dump when a feed degrades specifically for
-    /// [`DegradeReason::BadData`] — the bad-data screen is excising
-    /// suspect channels faster than plausible for sensor noise, which
-    /// usually means a miscalibrated or compromised PMU worth forensics
-    /// even when `on_degraded` is off.
+    /// Dump when a feed degrades for [`DegradeReason::BadData`] — the
+    /// bad-data screen is excising suspect channels faster than
+    /// plausible for sensor noise, which usually means a miscalibrated
+    /// or compromised PMU worth forensics.
     pub on_bad_data: bool,
     /// Dump when the rejected fraction of a full degrade window reaches
     /// this ratio (`None` disables the rejection-spike trigger).
     pub reject_spike_ratio: Option<f64>,
-    /// Dump when one push's detect latency exceeds this many
-    /// microseconds (`None` disables the latency-SLO trigger).
-    pub latency_slo_us: Option<f64>,
 }
 
 impl Default for IncidentConfig {
-    /// Raise, Dark, bad-data degrades and a 50% rejection spike trigger;
-    /// no latency SLO. Dumping stays off until a directory is configured.
+    /// Raise, Dark, bad-data degrades and a 50% rejection spike trigger.
+    /// Dumping stays off until a directory is configured.
     fn default() -> Self {
         IncidentConfig {
             dir: None,
             on_raise: true,
-            on_degraded: false,
             on_dark: true,
             on_bad_data: true,
             reject_spike_ratio: Some(0.5),
-            latency_slo_us: None,
         }
     }
 }
 
 /// Per-grid serving knobs, passed to [`Fleet::add_grid`](crate::Fleet::add_grid).
+/// Sessions vote with [`StreamConfig::default`] (a restored session keeps
+/// its snapshot's window and votes).
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Voting configuration every new session starts with.
-    pub stream: StreamConfig,
-    /// Degraded-mode thresholds every new session starts with.
-    pub degrade: DegradeConfig,
     /// Incident-dump triggers and destination.
     pub incident: IncidentConfig,
 }
 
-/// One grid's bundle-scoped, session-agnostic serving state: the trained
-/// detector, the ingestion guard, the per-push pipeline and the incident
-/// machinery. Owns no session table — [`Fleet`](crate::Fleet) pairs one
-/// core per grid with per-shard tables.
+/// One grid's session-agnostic serving state: its registered name, the
+/// trained detector, the ingestion guard, the per-push pipeline and the
+/// incident machinery. Owns no session — the [`Fleet`](crate::Fleet)'s
+/// router does.
 pub(crate) struct EngineCore {
+    /// The name the grid is registered under in its fleet.
+    pub(crate) name: String,
     pub(crate) system: String,
     pub(crate) network_fingerprint: String,
     /// Shared by every session of this core (and by stateless batch
     /// detection), so the model is held once per grid, not per feed.
     pub(crate) detector: Arc<Detector>,
-    stream_cfg: StreamConfig,
-    degrade_cfg: DegradeConfig,
     incident_cfg: IncidentConfig,
     /// Monotonic incident-dump sequence number (also the file-name
     /// prefix, so dump order is reconstructible from a directory
@@ -239,25 +229,24 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    pub(crate) fn from_bundle(bundle: ModelBundle, cfg: &EngineConfig) -> Self {
+    pub(crate) fn from_bundle(name: &str, bundle: ModelBundle, cfg: &EngineConfig) -> Self {
         pmu_obs::counter!("serve.engines_started").inc();
         EngineCore {
+            name: name.to_string(),
             system: bundle.system,
             network_fingerprint: bundle.network_fingerprint,
             detector: Arc::new(bundle.detector),
-            stream_cfg: cfg.stream,
-            degrade_cfg: cfg.degrade.clone(),
             incident_cfg: cfg.incident.clone(),
             incident_seq: AtomicU64::new(0),
             cache: Arc::default(),
         }
     }
 
-    /// A fresh session state wrapping a new monitor on this core's
-    /// detector, scoring cache and voting configuration.
+    /// A fresh session state wrapping a new default-voting monitor on
+    /// this core's detector and scoring cache.
     pub(crate) fn new_session(&self) -> SessionState {
         SessionState::new(
-            StreamingDetector::new(Arc::clone(&self.detector), self.stream_cfg)
+            StreamingDetector::new(Arc::clone(&self.detector), StreamConfig::default())
                 .with_cache(Arc::clone(&self.cache)),
         )
     }
@@ -340,14 +329,15 @@ impl EngineCore {
         sample: &PhasorSample,
     ) -> Result<StreamEvent, ServeError> {
         let (scored_l, missing_l, rejected_l, baddata_l) = push_labels();
-        let feed_tick = (session.pushed + session.rejected) as u64;
+        // Saturating: restored counters are untrusted input.
+        let feed_tick = session.pushed.saturating_add(session.rejected) as u64;
         let mode_before = session.mode;
 
         if let Err(e) = self.guard(sample) {
-            session.rejected += 1;
+            session.rejected = session.rejected.saturating_add(1);
             session.ring.record(RecKind::Event, rejected_l, feed_tick, 0);
-            session.record(who, &self.degrade_cfg, Outcome::Rejected);
-            self.fire_triggers(who, session, mode_before, false, None);
+            session.record(who, Outcome::Rejected);
+            self.fire_triggers(who, session, mode_before, false);
             return Err(e);
         }
 
@@ -356,7 +346,7 @@ impl EngineCore {
         let event = session.monitor.push(sample).map_err(ServeError::from);
         let latency_us = t0.elapsed().as_secs_f64() * 1e6;
         pmu_obs::histogram!("serve.detect_latency_us").observe(latency_us);
-        session.pushed += 1;
+        session.pushed = session.pushed.saturating_add(1);
         let after = session.monitor.health();
         let (outcome, label) = if after.missing_samples > before.missing_samples {
             (Outcome::Missing, missing_l)
@@ -366,9 +356,9 @@ impl EngineCore {
             (Outcome::Scored, scored_l)
         };
         session.ring.record(RecKind::Event, label, feed_tick, latency_us as u64);
-        session.record(who, &self.degrade_cfg, outcome);
+        session.record(who, outcome);
         let raised = matches!(event, Ok(StreamEvent::Raised { .. }));
-        self.fire_triggers(who, session, mode_before, raised, Some(latency_us));
+        self.fire_triggers(who, session, mode_before, raised);
         event
     }
 
@@ -382,7 +372,6 @@ impl EngineCore {
         session: &mut SessionState,
         mode_before: FeedMode,
         raised: bool,
-        latency_us: Option<f64>,
     ) {
         let cfg = &self.incident_cfg;
         let mut trigger: Option<&'static str> = None;
@@ -396,23 +385,11 @@ impl EngineCore {
             && mode_before != baddata_mode
         {
             trigger = Some("feed_baddata");
-        } else if cfg.on_degraded && session.mode.code() == 1 && mode_before.code() != 1 {
-            trigger = Some("feed_degraded");
-        }
-        if trigger.is_none() {
-            if let (Some(spike), Some(ratio)) =
-                (cfg.reject_spike_ratio, session.rejected_ratio(&self.degrade_cfg))
-            {
-                if ratio >= spike {
-                    trigger = Some("reject_spike");
-                }
-            }
-        }
-        if trigger.is_none() {
-            if let (Some(slo), Some(us)) = (cfg.latency_slo_us, latency_us) {
-                if us > slo {
-                    trigger = Some("latency_slo");
-                }
+        } else if let (Some(spike), Some(ratio)) =
+            (cfg.reject_spike_ratio, session.rejected_ratio())
+        {
+            if ratio >= spike {
+                trigger = Some("reject_spike");
             }
         }
 
@@ -488,6 +465,7 @@ mod tests {
     //! one-grid [`Fleet`](crate::Fleet) — the crate's serving front-end.
     use super::*;
     use crate::fleet::{FeedKey, Fleet, FleetConfig, GridId};
+    use crate::session::{DEGRADED_RATIO, DEGRADE_WINDOW};
     use pmu_baseline::MlrConfig;
     use pmu_detect::detector::default_config_for;
     use pmu_numerics::Complex64;
@@ -576,6 +554,8 @@ mod tests {
         assert!(fleet.detect_batch(grid, &[]).is_empty());
     }
 
+    /// Closing a feed drops its session: the key answers `UnknownFeed`,
+    /// a reopen starts from zero, and the shard counts do not keep it.
     #[test]
     fn session_lifecycle_reuses_slots_under_fresh_generations() {
         let data = tiny_dataset();
@@ -599,7 +579,7 @@ mod tests {
         assert_eq!(
             fleet.shard_stats().iter().map(|s| s.sessions).sum::<usize>(),
             2,
-            "the closed slot is reclaimed, not leaked"
+            "the closed session is dropped, not leaked"
         );
         assert!(
             fleet.health(FeedKey { grid, feed: 99 }).is_none(),
@@ -630,7 +610,7 @@ mod tests {
         assert_eq!(events.len(), batch.len());
 
         let mut reference =
-            StreamingDetector::new(detector, EngineConfig::default().stream);
+            StreamingDetector::new(detector, StreamConfig::default());
         let mut expected = Vec::new();
         for (key, sample) in &batch {
             if *key == s0 {
@@ -724,7 +704,6 @@ mod tests {
         let data = tiny_dataset();
         let (fleet, _, key) = one_feed(&data);
         let n = data.network.n_buses();
-        let cfg = EngineConfig::default().degrade;
         let dark_mask = Mask::with_missing(n, &(0..n - 1).collect::<Vec<_>>());
         let mode = || fleet.health(key).unwrap().mode;
 
@@ -733,7 +712,7 @@ mod tests {
 
         // Blackout: a full window of unscorable samples turns the feed
         // Dark.
-        for t in 0..cfg.window {
+        for t in 0..DEGRADE_WINDOW {
             let s = data.normal_test.sample(t % data.normal_test.len()).masked(&dark_mask);
             push(&fleet, key, s).unwrap();
         }
@@ -743,7 +722,7 @@ mod tests {
         // Healthy, monotonically.
         let mut seen_degraded = false;
         let mut recovered_at = None;
-        for t in 0..2 * cfg.window {
+        for t in 0..2 * DEGRADE_WINDOW {
             let s = data.normal_test.sample(t % data.normal_test.len());
             push(&fleet, key, s).unwrap();
             match mode() {
@@ -770,7 +749,7 @@ mod tests {
         // below dark) degrades with the rejection reason.
         let nan =
             PhasorSample::complete(vec![Complex64::new(f64::NAN, 0.0); n]);
-        let burst = (cfg.degraded_ratio * cfg.window as f64).ceil() as usize;
+        let burst = (DEGRADED_RATIO * DEGRADE_WINDOW as f64).ceil() as usize;
         for _ in 0..burst {
             let _ = push(&fleet, key, nan.clone());
         }
@@ -787,8 +766,7 @@ mod tests {
         let data = tiny_dataset();
         let (fleet, _, key) = one_feed(&data);
         let n = data.network.n_buses();
-        let cfg = EngineConfig::default().degrade;
-        for t in 0..cfg.window {
+        for t in 0..DEGRADE_WINDOW {
             let clean = data.normal_test.sample(t % data.normal_test.len());
             let phasors: Vec<Complex64> = (0..n)
                 .map(|i| {
@@ -805,10 +783,10 @@ mod tests {
         }
         let h = fleet.health(key).unwrap();
         assert!(
-            h.snapshot.bad_data_samples * 2 >= cfg.window,
+            h.snapshot.bad_data_samples * 2 >= DEGRADE_WINDOW,
             "screen fired on only {} of {} pushes",
             h.snapshot.bad_data_samples,
-            cfg.window
+            DEGRADE_WINDOW
         );
         assert_eq!(h.mode, FeedMode::Degraded { reason: DegradeReason::BadData });
         assert_eq!(h.rejected, 0, "bad data is excised, not rejected");

@@ -2,17 +2,17 @@
 //! serving front-end. A single-grid deployment is a one-grid fleet.
 //!
 //! A [`Fleet`] hosts several trained bundles (one [`EngineCore`] per
-//! grid) and shards every open feed session across a fixed set of
-//! shards. It keeps **one
-//! [`SessionTable`](crate::session::SessionTable) per shard, each behind
-//! its own lock**, and every session behind a lock of its own. Stateless
-//! scoring of independent samples goes through [`Fleet::detect_batch`],
-//! which shares the grid's detector and scoring cache with its feeds.
+//! grid) and spreads every open feed over a fixed set of shards. **One
+//! map, the router, holds every open feed**: its key, its shard and its
+//! session, each session behind a lock of its own. A shard holds no
+//! sessions, only its admission counters and metrics. Stateless scoring
+//! of independent samples goes through [`Fleet::detect_batch`], which
+//! shares the grid's detector and scoring cache with its feeds.
 //!
 //! ## Draining
 //!
 //! A push batch is split into **one unit per feed**: that feed's samples
-//! in input order. Units are resolved under their shard's table lock,
+//! in input order. Units are resolved under the router's read lock,
 //! which is released before any sample is pushed, so a slow feed (an
 //! incident dump, say) holds only its own session lock and never stalls
 //! its shard-mates. The units then drain on the fleet's persistent
@@ -29,7 +29,9 @@
 //! *home shard* is `fnv1a(grid, feed) % shards` — deterministic, so the
 //! same key always lands on the same shard until an explicit
 //! [`Fleet::migrate_feed`] moves it. The router (one `RwLock` hash map)
-//! resolves keys to `(shard, session)`; the push path takes it read-only.
+//! resolves keys to `(shard, session)`; the push path takes it read-only,
+//! and a migration rewrites a route's shard under the write lock while
+//! the session itself stays where it is.
 //!
 //! ## Backpressure
 //!
@@ -51,6 +53,7 @@
 //! fingerprint-checked: a snapshot taken against one topology can never
 //! be revived against another.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -66,7 +69,7 @@ use pmu_sim::PhasorSample;
 
 use crate::engine::{EngineConfig, EngineCore, ServeError};
 use crate::pool::DrainPool;
-use crate::session::{FeedTag, SessionHealth, SessionId, SessionState, SessionTable};
+use crate::session::{FeedTag, SessionHealth, SessionState};
 
 /// Handle to one grid registered in a [`Fleet`] (index into the fleet's
 /// grid list; issued by [`Fleet::add_grid`], resolvable by name via
@@ -108,8 +111,8 @@ impl std::fmt::Display for FeedKey {
 pub struct FleetConfig {
     /// Number of session shards. `0` (the default) means one shard per
     /// worker thread ([`par::num_threads`]). Shards bound admission (each
-    /// has its own ingress budget) and lock scope (each has its own
-    /// table lock); they do not bound parallelism, since a batch's feeds
+    /// has its own ingress budget) and group the `serve.shard{i}.*`
+    /// metrics; they do not bound parallelism, since a batch's feeds
     /// drain on every worker whichever shard they live on.
     pub shards: usize,
     /// Per-shard bounded ingress budget: the maximum number of samples a
@@ -145,12 +148,11 @@ pub struct ShardStats {
     pub drain_rate: f64,
 }
 
-/// One session shard: its table, its admission counters, and its
-/// pre-resolved per-shard metric handles (names like
-/// `serve.shard3.push_us`, leaked once per process and deduplicated by
-/// the registry).
+/// One shard: its admission counters and its pre-resolved per-shard
+/// metric handles (names like `serve.shard3.push_us`, leaked once per
+/// process and deduplicated by the registry). Its sessions live in the
+/// fleet's router.
 struct Shard {
-    table: Mutex<SessionTable<SessionState>>,
     /// Samples admitted and not yet drained; bounded by
     /// [`FleetConfig::queue_capacity`] via compare-exchange admission.
     inflight: AtomicUsize,
@@ -172,7 +174,6 @@ impl Shard {
             Box::leak(format!("serve.shard{index}.{suffix}").into_boxed_str())
         };
         Shard {
-            table: Mutex::new(SessionTable::new()),
             inflight: AtomicUsize::new(0),
             drained: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -183,10 +184,10 @@ impl Shard {
         }
     }
 
-    fn stats(&self, index: usize) -> ShardStats {
+    fn stats(&self, index: usize, sessions: usize) -> ShardStats {
         ShardStats {
             shard: index,
-            sessions: self.table.lock().unwrap_or_else(|p| p.into_inner()).active(),
+            sessions,
             inflight: self.inflight.load(Ordering::Relaxed),
             drained: self.drained.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -200,23 +201,17 @@ impl Shard {
     }
 }
 
-struct GridEntry {
-    name: String,
-    core: EngineCore,
-}
-
-/// Where the router finds an open feed.
-#[derive(Clone, Copy)]
+/// An open feed as the router holds it.
 struct Route {
     shard: u32,
-    sid: SessionId,
+    session: Arc<Mutex<SessionState>>,
 }
 
 /// One feed's share of a push batch: its samples in input order, with
 /// everything the push needs owned or shared, so a pool thread can drain
 /// it without borrowing from the fleet.
 struct FeedUnit {
-    grid: Arc<GridEntry>,
+    grid: Arc<EngineCore>,
     feed: u64,
     session: Arc<Mutex<SessionState>>,
     /// The home shard's per-push latency histogram.
@@ -234,7 +229,7 @@ impl FeedUnit {
             .iter()
             .map(|(pos, sample)| {
                 let t0 = Instant::now();
-                let event = self.grid.core.push_one(&tag, &mut session, sample);
+                let event = self.grid.push_one(&tag, &mut session, sample);
                 self.push_us.observe(t0.elapsed().as_secs_f64() * 1e6);
                 (*pos, event)
             })
@@ -250,7 +245,7 @@ impl FeedUnit {
 pub struct Fleet {
     /// Shared with in-flight drain units, which outlive no batch but
     /// run on pool threads.
-    grids: Vec<Arc<GridEntry>>,
+    grids: Vec<Arc<EngineCore>>,
     shards: Vec<Shard>,
     router: RwLock<HashMap<FeedKey, Route>>,
     queue_capacity: usize,
@@ -295,10 +290,7 @@ impl Fleet {
         if self.grids.iter().any(|g| g.name == name) {
             return Err(ServeError::DuplicateGrid(name.to_string()));
         }
-        self.grids.push(Arc::new(GridEntry {
-            name: name.to_string(),
-            core: EngineCore::from_bundle(bundle, cfg),
-        }));
+        self.grids.push(Arc::new(EngineCore::from_bundle(name, bundle, cfg)));
         pmu_obs::gauge!("serve.fleet_grids").set(self.grids.len() as f64);
         Ok(GridId(self.grids.len() as u32 - 1))
     }
@@ -324,17 +316,17 @@ impl Fleet {
 
     /// System a grid's bundle was trained on (e.g. `"ieee14"`).
     pub fn grid_system(&self, id: GridId) -> &str {
-        &self.grids[id.index()].core.system
+        &self.grids[id.index()].system
     }
 
     /// Hex fingerprint of a grid's training topology.
     pub fn grid_fingerprint(&self, id: GridId) -> &str {
-        &self.grids[id.index()].core.network_fingerprint
+        &self.grids[id.index()].network_fingerprint
     }
 
     /// Node count a grid's detector serves.
     pub fn grid_nodes(&self, id: GridId) -> usize {
-        self.grids[id.index()].core.detector.n_nodes()
+        self.grids[id.index()].detector.n_nodes()
     }
 
     /// Number of session shards.
@@ -358,7 +350,7 @@ impl Fleet {
     fn core(&self, grid: GridId) -> Result<&EngineCore, ServeError> {
         self.grids
             .get(grid.index())
-            .map(|g| &g.core)
+            .map(|g| &**g)
             .ok_or_else(|| ServeError::UnknownGrid(grid.to_string()))
     }
 
@@ -393,21 +385,16 @@ impl Fleet {
         self.install(key, state)
     }
 
-    /// Route `state` to `key`'s home shard and register it, holding the
-    /// router write lock across the insert so a concurrent open of the
-    /// same key cannot double-register.
+    /// Route `state` to `key`'s home shard, holding the router write lock
+    /// across the insert so a concurrent open of the same key cannot
+    /// double-register.
     fn install(&self, key: FeedKey, state: SessionState) -> Result<(), ServeError> {
-        let shard_idx = self.home_shard(key);
+        let shard = self.home_shard(key) as u32;
         let mut router = self.router.write().unwrap_or_else(|p| p.into_inner());
-        if router.contains_key(&key) {
+        let Entry::Vacant(vacant) = router.entry(key) else {
             return Err(ServeError::DuplicateFeed(key));
-        }
-        let sid = {
-            let mut table =
-                self.shards[shard_idx].table.lock().unwrap_or_else(|p| p.into_inner());
-            table.open(state)
         };
-        router.insert(key, Route { shard: shard_idx as u32, sid });
+        vacant.insert(Route { shard, session: Arc::new(Mutex::new(state)) });
         pmu_obs::counter!("serve.sessions_opened").inc();
         pmu_obs::gauge!("serve.sessions_active").set(router.len() as f64);
         Ok(())
@@ -416,15 +403,9 @@ impl Fleet {
     /// Close a feed; `false` when the key is not open.
     pub fn close_feed(&self, key: FeedKey) -> bool {
         let mut router = self.router.write().unwrap_or_else(|p| p.into_inner());
-        let Some(route) = router.remove(&key) else { return false };
-        let closed = {
-            let mut table = self.shards[route.shard as usize]
-                .table
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            table.close(route.sid)
-        };
-        debug_assert!(closed, "router and shard tables must stay consistent");
+        if router.remove(&key).is_none() {
+            return false;
+        }
         pmu_obs::counter!("serve.sessions_closed").inc();
         pmu_obs::gauge!("serve.sessions_active").set(router.len() as f64);
         true
@@ -451,24 +432,16 @@ impl Fleet {
 
     /// Health of one feed, `None` when the key is not open.
     pub fn health(&self, key: FeedKey) -> Option<SessionHealth> {
-        let route = {
-            let router = self.router.read().unwrap_or_else(|p| p.into_inner());
-            *router.get(&key)?
-        };
-        let session = self.session(route)?;
+        let session = self.session_of(key)?;
         let session = session.lock().unwrap_or_else(|p| p.into_inner());
         Some(session.health())
     }
 
-    /// A routed feed's session, looked up under its shard's table lock and
-    /// returned with that lock released, so waiting for the session never
-    /// holds up its shard-mates.
-    fn session(&self, route: Route) -> Option<Arc<Mutex<SessionState>>> {
-        let table = self.shards[route.shard as usize]
-            .table
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        table.resolve(route.sid).cloned()
+    /// An open feed's session, returned with the router lock released, so
+    /// waiting for the session never holds up routing.
+    fn session_of(&self, key: FeedKey) -> Option<Arc<Mutex<SessionState>>> {
+        let router = self.router.read().unwrap_or_else(|p| p.into_inner());
+        router.get(&key).map(|route| Arc::clone(&route.session))
     }
 
     /// Health of every open feed, sorted by (grid, feed).
@@ -510,11 +483,11 @@ impl Fleet {
         // so a concurrent migration is seen entirely before or after.
         // Group positions per shard, preserving batch order within each.
         let router = self.router.read().unwrap_or_else(|p| p.into_inner());
-        let mut per_shard: Vec<Vec<(usize, SessionId)>> =
+        let mut per_shard: Vec<Vec<(usize, &Route)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (pos, (key, _)) in batch.iter().enumerate() {
             match router.get(key) {
-                Some(route) => per_shard[route.shard as usize].push((pos, route.sid)),
+                Some(route) => per_shard[route.shard as usize].push((pos, route)),
                 None => out[pos] = Some(Err(ServeError::UnknownFeed(*key))),
             }
         }
@@ -558,21 +531,14 @@ impl Fleet {
             }
             admitted.push((shard_idx, group.len()));
 
-            // One unit per feed; the table lock covers the lookups only.
-            let table = shard.table.lock().unwrap_or_else(|p| p.into_inner());
-            for (pos, sid) in group {
+            // One unit per feed.
+            for (pos, route) in group {
                 let (key, sample) = &batch[pos];
-                let Some(session) = table.resolve(sid) else {
-                    // Router and tables agree while the router lock is
-                    // held; kept typed rather than trusted.
-                    out[pos] = Some(Err(ServeError::UnknownFeed(*key)));
-                    continue;
-                };
                 let unit = *unit_of.entry(*key).or_insert_with(|| {
                     units.push(FeedUnit {
                         grid: Arc::clone(&self.grids[key.grid.index()]),
                         feed: key.feed,
-                        session: Arc::clone(session),
+                        session: Arc::clone(&route.session),
                         push_us: shard.push_us,
                         samples: Vec::new(),
                     });
@@ -611,19 +577,10 @@ impl Fleet {
     /// # Errors
     /// [`ServeError::UnknownFeed`] when the key is not open.
     pub fn snapshot_feed(&self, key: FeedKey) -> Result<SessionSnapshot, ServeError> {
-        let route = {
-            let router = self.router.read().unwrap_or_else(|p| p.into_inner());
-            router.get(&key).copied().ok_or(ServeError::UnknownFeed(key))?
-        };
+        let session = self.session_of(key).ok_or(ServeError::UnknownFeed(key))?;
         let core = self.core(key.grid)?;
-        let session = self.session(route).ok_or(ServeError::UnknownFeed(key))?;
         let session = session.lock().unwrap_or_else(|p| p.into_inner());
-        Ok(session.to_snapshot(
-            &core.system,
-            &core.network_fingerprint,
-            self.grid_name(key.grid),
-            key.feed,
-        ))
+        Ok(session.to_snapshot(&core.system, &core.network_fingerprint, &core.name, key.feed))
     }
 
     /// Resurrect a snapshot into this fleet (home-shard placement) and
@@ -641,7 +598,7 @@ impl Fleet {
         let grid = self
             .grid(&snap.grid)
             .ok_or_else(|| ServeError::UnknownGrid(snap.grid.clone()))?;
-        let core = &self.grids[grid.index()].core;
+        let core = &self.grids[grid.index()];
         if snap.system != core.system {
             return Err(ServeError::Snapshot(format!(
                 "snapshot is for system {:?}, grid {:?} serves {:?}",
@@ -665,12 +622,12 @@ impl Fleet {
         Ok(key)
     }
 
-    /// Move a feed's session to another shard without losing a sample of
-    /// state: the session is lifted out of its current table (bumping
-    /// the old slot's generation) and re-homed under `to_shard`, and the
-    /// router is updated atomically with respect to pushes — a batch
+    /// Move a feed to another shard without losing a sample of state: its
+    /// route's shard is rewritten under the router write lock, so a batch
     /// sees the feed on exactly one shard, before or after, never
-    /// neither. Returns the shard it moved from.
+    /// neither. The session itself stays put, so a drain that resolved it
+    /// before the move still pushes into the one live session. Returns
+    /// the shard it moved from.
     ///
     /// # Errors
     /// [`ServeError::UnknownFeed`] when the key is not open.
@@ -683,44 +640,33 @@ impl Fleet {
         let mut router = self.router.write().unwrap_or_else(|p| p.into_inner());
         let route = router.get_mut(&key).ok_or(ServeError::UnknownFeed(key))?;
         let from = route.shard as usize;
-        if from == to_shard {
-            return Ok(from);
+        if from != to_shard {
+            route.shard = to_shard as u32;
+            pmu_obs::counter!("serve.sessions_migrated").inc();
         }
-        // Lock the two tables in index order so concurrent migrations
-        // cannot deadlock.
-        let (lo, hi) = (from.min(to_shard), from.max(to_shard));
-        let mut lo_table = self.shards[lo].table.lock().unwrap_or_else(|p| p.into_inner());
-        let mut hi_table = self.shards[hi].table.lock().unwrap_or_else(|p| p.into_inner());
-        let (src, dst): (&mut SessionTable<_>, &mut SessionTable<_>) = if from == lo {
-            (&mut lo_table, &mut hi_table)
-        } else {
-            (&mut hi_table, &mut lo_table)
-        };
-        // The session itself moves (not a copy), so a drain that resolved
-        // it before the move still pushes into the one live session.
-        let session = src.take(route.sid).ok_or(ServeError::UnknownFeed(key))?;
-        let sid = dst.insert(session);
-        route.shard = to_shard as u32;
-        route.sid = sid;
-        pmu_obs::counter!("serve.sessions_migrated").inc();
         Ok(from)
     }
 
     /// Per-shard load counters, ascending by shard index.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().enumerate().map(|(i, s)| s.stats(i)).collect()
+        let mut sessions = vec![0; self.shards.len()];
+        for route in self.router.read().unwrap_or_else(|p| p.into_inner()).values() {
+            sessions[route.shard as usize] += 1;
+        }
+        self.shards.iter().zip(sessions).enumerate().map(|(i, (s, n))| s.stats(i, n)).collect()
     }
 
     /// Number of incident dumps attempted across all grids.
     pub fn incident_dumps_written(&self) -> u64 {
-        self.grids.iter().map(|g| g.core.incident_dumps_written()).sum()
+        self.grids.iter().map(|g| g.incident_dumps_written()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BadSampleReason, DegradeConfig, FeedMode};
+    use crate::engine::{BadSampleReason, FeedMode};
+    use crate::session::DEGRADE_WINDOW;
     use pmu_baseline::MlrConfig;
     use pmu_detect::detector::default_config_for;
     use pmu_detect::stream::StreamConfig;
@@ -969,18 +915,24 @@ mod tests {
         assert!(matches!(other.restore_feed(&corrupt), Err(ServeError::Snapshot(_))));
 
         // Corrupt serving-level tag.
-        let mut bad_tag = snap;
+        let mut bad_tag = snap.clone();
         bad_tag.mode = "zombie".into();
         assert!(matches!(other.restore_feed(&bad_tag), Err(ServeError::Snapshot(_))));
+
+        // More recent outcomes than the degrade window holds: left in, the
+        // surplus would never be trimmed and would outvote clean pushes.
+        let mut overlong = snap;
+        overlong.recent = vec!["missing".into(); 2 * DEGRADE_WINDOW];
+        assert!(matches!(other.restore_feed(&overlong), Err(ServeError::Snapshot(_))));
     }
 
-    /// Mode-change observations name the feed, not its shard-local slot:
-    /// two feeds on different shards both sit in slot 0 of their shard's
-    /// table, darken in turn, and their `serve.feed_mode` records stay
-    /// apart (operand `a` is the feed id) — also after a migration moves
-    /// one of them into another slot. The recorder is process-global and
-    /// shared with concurrently running tests, so only records carrying
-    /// this test's feed ids are read.
+    /// Mode-change observations name the feed, not its shard: two feeds,
+    /// each alone on its own shard, darken in turn, and their
+    /// `serve.feed_mode` records stay apart (operand `a` is the feed id)
+    /// — also after a migration puts one of them on the other's shard.
+    /// The recorder is process-global and shared with concurrently
+    /// running tests, so only records carrying this test's feed ids are
+    /// read.
     #[test]
     fn mode_changes_name_the_feed_not_the_shard_slot() {
         let data = tiny_dataset();
@@ -993,7 +945,7 @@ mod tests {
         fleet.open_feed(b).unwrap();
         assert!(
             fleet.shard_stats().iter().all(|s| s.sessions == 1),
-            "each feed is alone on its shard, so both sit in slot 0"
+            "each feed is alone on its shard"
         );
 
         let transitions = |key: FeedKey| -> Vec<u64> {
@@ -1007,7 +959,7 @@ mod tests {
         };
         let n = data.network.n_buses();
         let dark = Mask::with_missing(n, &(0..n - 1).collect::<Vec<_>>());
-        let window = DegradeConfig::default().window;
+        let window = DEGRADE_WINDOW;
         let sample = |t: usize| data.normal_test.sample(t % data.normal_test.len());
         for key in [a, b] {
             for t in 0..window {
@@ -1017,7 +969,7 @@ mod tests {
             assert_eq!(transitions(key), vec![2], "feed {key} went dark exactly once");
         }
 
-        // Migrate `a` next to `b` (slot 1 of shard 1) and let it recover:
+        // Migrate `a` next to `b` (onto shard 1) and let it recover:
         // the recovery is still recorded under `a`'s id, never `b`'s.
         fleet.migrate_feed(a, 1).unwrap();
         for t in 0..2 * window {
@@ -1222,8 +1174,7 @@ mod tests {
         let (slow, quick) = (FeedKey { grid: east, feed: 1 }, FeedKey { grid: east, feed: 2 });
         fleet.open_feed(slow).unwrap();
         fleet.open_feed(quick).unwrap();
-        let route = fleet.router.read().unwrap()[&slow];
-        let session = fleet.session(route).unwrap();
+        let session = fleet.session_of(slow).unwrap();
         let fleet = Arc::new(fleet);
         let sample = data.normal_test.sample(0);
 

@@ -15,15 +15,15 @@
 //! - **Feeds** — [`Fleet::open_feed`] creates a per-feed
 //!   [`StreamingDetector`](pmu_detect::stream::StreamingDetector) (k-of-m
 //!   voting, raise/clear events, health snapshots) addressed by a
-//!   [`FeedKey`]. Feeds are sharded across per-shard tables;
-//!   [`Fleet::push_batch`] advances many feeds of many grids by one tick,
+//!   [`FeedKey`]. One router map holds every open feed and the shard it
+//!   is homed on; [`Fleet::push_batch`] advances many feeds of many grids by one tick,
 //!   one unit per feed on a persistent drain pool, while preserving
 //!   per-feed sample order, under bounded-ingress admission control
 //!   (shedding with [`ServeError::Overloaded`]). Sessions are *mobile*:
 //!   [`Fleet::snapshot_feed`] / [`Fleet::restore_feed`] round-trip a
 //!   feed's complete serving state through a checksummed
 //!   [`SessionSnapshot`](pmu_model::SessionSnapshot) bit-identically,
-//!   and [`Fleet::migrate_feed`] re-homes a live session onto another
+//!   and [`Fleet::migrate_feed`] re-homes a live feed onto another
 //!   shard with no event discontinuity.
 //!
 //! The serving path assumes unreliable telemetry: an ingestion guard
@@ -55,8 +55,8 @@ mod pool;
 pub mod session;
 
 pub use engine::{
-    BadSampleReason, DegradeConfig, DegradeReason, EngineConfig, FeedMode, IncidentConfig,
-    ServeError, SessionHealth,
+    BadSampleReason, DegradeReason, EngineConfig, FeedMode, IncidentConfig, ServeError,
+    SessionHealth,
 };
 pub use fleet::{FeedKey, Fleet, FleetConfig, GridId, ShardStats};
 pub use http::ObsServer;

@@ -1,10 +1,8 @@
-//! Session-layer building blocks of the [`Fleet`](crate::Fleet)'s shards:
-//! generation-tagged slot handles, the slot table with an O(1) free list,
-//! and the per-feed serving state (voting monitor + degraded-mode
-//! machine + flight-recorder ring).
+//! The per-feed serving state a [`Fleet`](crate::Fleet) keeps for every
+//! open feed: the voting monitor, the degraded-mode machine and the
+//! flight-recorder ring.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use pmu_detect::stream::{HealthSnapshot, StreamingDetector};
 use pmu_model::SessionSnapshot;
@@ -14,22 +12,20 @@ use pmu_obs::Recorder;
 /// hold several degrade windows of push history around an anomaly.
 pub(crate) const FEED_RING_CAPACITY: usize = 128;
 
-/// A generation-tagged handle to a slot of one shard's session table.
-///
-/// Slots are reused after a close, but each reuse bumps the slot's
-/// generation, so a stale handle held across a close/reopen (or a
-/// migration) can never address the new occupant (the classic ABA
-/// hazard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct SessionId {
-    slot: u32,
-    generation: u32,
-}
+/// How many recent pushes the degraded-mode ratios are computed over.
+/// The mode never leaves `Healthy` before a full window has accumulated.
+pub(crate) const DEGRADE_WINDOW: usize = 8;
+
+/// Bad-sample ratio (unscorable + rejected) at which a feed turns
+/// [`FeedMode::Degraded`].
+pub(crate) const DEGRADED_RATIO: f64 = 0.25;
+
+/// Bad-sample ratio at which a feed turns [`FeedMode::Dark`].
+pub(crate) const DARK_RATIO: f64 = 0.75;
 
 /// Grid-qualified feed name used in mode-change observations and
 /// incident dumps (e.g. `east.f7` — no `/`, it becomes part of a file
-/// name). Unlike a slot index it is stable across shards, grids and
-/// migrations.
+/// name). It is stable across shards, grids and migrations.
 pub(crate) struct FeedTag<'a> {
     pub(crate) grid: &'a str,
     pub(crate) feed: u64,
@@ -41,98 +37,10 @@ impl std::fmt::Display for FeedTag<'_> {
     }
 }
 
-/// One slot of a session table. The generation survives the occupant:
-/// it is bumped on every close, which is what invalidates stale handles.
-/// The occupant is shared (`Arc`), so a drain can lock one session
-/// without holding the table, and a migration moves the session itself.
-#[derive(Debug)]
-struct Slot<S> {
-    generation: u32,
-    state: Option<Arc<Mutex<S>>>,
-}
-
-/// A generation-tagged slot table with an O(1) free list.
-///
-/// The original engine scanned the whole slot vector for a vacancy on
-/// every open — linear in table size, quadratic for a churn-heavy
-/// workload opening thousands of sessions. The table now keeps a stack
-/// of free slot indices: open pops (or grows), close pushes, both O(1).
-/// The invariant tying them together: a slot is in `free` **iff** its
-/// `state` is `None`, so `active() = slots.len() - free.len()` without a
-/// scan. Generation tagging is untouched.
-#[derive(Debug)]
-pub(crate) struct SessionTable<S> {
-    slots: Vec<Slot<S>>,
-    /// Indices of vacant slots (LIFO: the most recently closed slot is
-    /// reused first, keeping the table compact under churn).
-    free: Vec<u32>,
-}
-
-impl<S> SessionTable<S> {
-    pub(crate) fn new() -> Self {
-        SessionTable { slots: Vec::new(), free: Vec::new() }
-    }
-
-    /// Insert `state` into a free slot (O(1)) and return its handle.
-    pub(crate) fn open(&mut self, state: S) -> SessionId {
-        self.insert(Arc::new(Mutex::new(state)))
-    }
-
-    /// Home an existing session (the migration path) in a free slot.
-    pub(crate) fn insert(&mut self, session: Arc<Mutex<S>>) -> SessionId {
-        let slot = match self.free.pop() {
-            Some(i) => {
-                debug_assert!(self.slots[i as usize].state.is_none());
-                self.slots[i as usize].state = Some(session);
-                i as usize
-            }
-            None => {
-                self.slots.push(Slot { generation: 0, state: Some(session) });
-                self.slots.len() - 1
-            }
-        };
-        SessionId { slot: slot as u32, generation: self.slots[slot].generation }
-    }
-
-    /// Close a session; `false` when the handle is not open (including
-    /// stale handles of an already-reused slot). Closing bumps the slot
-    /// generation, invalidating every outstanding handle to it.
-    pub(crate) fn close(&mut self, id: SessionId) -> bool {
-        self.take(id).is_some()
-    }
-
-    /// Close a session and hand back the session itself (the migration
-    /// path). `None` when the handle is not open.
-    pub(crate) fn take(&mut self, id: SessionId) -> Option<Arc<Mutex<S>>> {
-        let slot = self.slots.get_mut(id.slot as usize)?;
-        if slot.generation != id.generation || slot.state.is_none() {
-            return None;
-        }
-        let state = slot.state.take().expect("checked above");
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(id.slot);
-        Some(state)
-    }
-
-    /// Resolve a handle to its live session, or `None` when closed/stale.
-    pub(crate) fn resolve(&self, id: SessionId) -> Option<&Arc<Mutex<S>>> {
-        let slot = self.slots.get(id.slot as usize)?;
-        if slot.generation != id.generation {
-            return None;
-        }
-        slot.state.as_ref()
-    }
-
-    /// Number of open sessions — O(1) via the free-list invariant.
-    pub(crate) fn active(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-}
-
 /// A serving session's degraded-mode state.
 ///
 /// Driven by the ratios of unscorable and rejected samples over the last
-/// [`DegradeConfig::window`] pushes. `Dark` means the feed is effectively
+/// 8 pushes. `Dark` means the feed is effectively
 /// blind (almost nothing scorable arrives); `Degraded` means enough data
 /// still flows to detect, but the operator should distrust latency and
 /// localization quality.
@@ -214,26 +122,6 @@ impl FeedMode {
             "dark" => Some(FeedMode::Dark),
             _ => None,
         }
-    }
-}
-
-/// Thresholds of the per-session degraded-mode state machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradeConfig {
-    /// How many recent pushes the ratios are computed over. The mode
-    /// never leaves `Healthy` before a full window has accumulated.
-    pub window: usize,
-    /// Bad-sample ratio (unscorable + rejected) at which the feed turns
-    /// [`FeedMode::Degraded`].
-    pub degraded_ratio: f64,
-    /// Bad-sample ratio at which the feed turns [`FeedMode::Dark`].
-    pub dark_ratio: f64,
-}
-
-impl Default for DegradeConfig {
-    /// An 8-push window; a quarter bad degrades, three quarters is dark.
-    fn default() -> Self {
-        DegradeConfig { window: 8, degraded_ratio: 0.25, dark_ratio: 0.75 }
     }
 }
 
@@ -322,8 +210,8 @@ impl SessionState {
 
     /// Ratio of guard-rejected pushes over the degrade window, `None`
     /// before a full window has accumulated.
-    pub(crate) fn rejected_ratio(&self, cfg: &DegradeConfig) -> Option<f64> {
-        if self.recent.len() < cfg.window.max(1) {
+    pub(crate) fn rejected_ratio(&self) -> Option<f64> {
+        if self.recent.len() < DEGRADE_WINDOW {
             return None;
         }
         let rejected =
@@ -334,12 +222,12 @@ impl SessionState {
     /// Record one push outcome and advance the mode machine, emitting a
     /// [`pmu_obs::events::FeedModeChanged`] observation naming `who` on
     /// transitions.
-    pub(crate) fn record(&mut self, who: &FeedTag<'_>, cfg: &DegradeConfig, outcome: Outcome) {
-        if self.recent.len() == cfg.window.max(1) {
+    pub(crate) fn record(&mut self, who: &FeedTag<'_>, outcome: Outcome) {
+        if self.recent.len() == DEGRADE_WINDOW {
             self.recent.pop_front();
         }
         self.recent.push_back(outcome);
-        let next = self.decide(cfg);
+        let next = self.decide();
         if next != self.mode {
             let reason = match next {
                 FeedMode::Healthy => "recovered",
@@ -362,8 +250,8 @@ impl SessionState {
         }
     }
 
-    fn decide(&self, cfg: &DegradeConfig) -> FeedMode {
-        if self.recent.len() < cfg.window.max(1) {
+    fn decide(&self) -> FeedMode {
+        if self.recent.len() < DEGRADE_WINDOW {
             return FeedMode::Healthy;
         }
         let n = self.recent.len() as f64;
@@ -377,9 +265,9 @@ impl SessionState {
         // channels), so they can degrade a feed but never darken it:
         // `Dark` is reserved for feeds detection is actually blind on.
         let unscorable = missing + rejected;
-        if unscorable >= cfg.dark_ratio {
+        if unscorable >= DARK_RATIO {
             FeedMode::Dark
-        } else if unscorable + baddata >= cfg.degraded_ratio {
+        } else if unscorable + baddata >= DEGRADED_RATIO {
             let worst = if rejected > missing {
                 (rejected, DegradeReason::RejectedSamples)
             } else {
@@ -431,11 +319,18 @@ impl SessionState {
     ///
     /// # Errors
     /// A description of the offending field when the snapshot carries an
-    /// unknown mode or outcome tag.
+    /// unknown mode or outcome tag, or more recent outcomes than the
+    /// degrade window holds.
     pub(crate) fn from_snapshot(
         monitor: StreamingDetector,
         snap: &SessionSnapshot,
     ) -> Result<Self, String> {
+        if snap.recent.len() > DEGRADE_WINDOW {
+            return Err(format!(
+                "{} recent outcomes, the degrade window holds {DEGRADE_WINDOW}",
+                snap.recent.len()
+            ));
+        }
         let mode = FeedMode::from_tag(&snap.mode)
             .ok_or_else(|| format!("unknown feed-mode tag {:?}", snap.mode))?;
         let recent = snap
@@ -460,59 +355,6 @@ impl SessionState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The free list reuses slots O(1) while preserving the generation
-    /// semantics that keep stale handles from reaching a new occupant.
-    #[test]
-    fn free_list_reuses_slots_with_fresh_generations() {
-        let mut table: SessionTable<u32> = SessionTable::new();
-        let a = table.open(1);
-        let b = table.open(2);
-        let c = table.open(3);
-        assert_eq!((a.slot, b.slot, c.slot), (0, 1, 2));
-        assert_eq!(table.active(), 3);
-
-        assert!(table.close(b));
-        assert!(!table.close(b), "double close reports false");
-        assert_eq!(table.active(), 2);
-        // LIFO reuse: the most recently freed slot comes back first.
-        let d = table.open(4);
-        assert_eq!(d.slot, b.slot);
-        assert_ne!(d.generation, b.generation, "reuse bumps the generation");
-        assert!(table.resolve(b).is_none(), "stale handle resolves to nothing");
-        assert!(!table.close(b), "stale handle cannot close the new occupant");
-        assert_eq!(*table.resolve(d).unwrap().lock().unwrap(), 4);
-        assert_eq!(*table.resolve(a).unwrap().lock().unwrap(), 1);
-        assert_eq!(*table.resolve(c).unwrap().lock().unwrap(), 3);
-
-        // Deep churn: many close/open cycles never grow the table.
-        let mut live = vec![a, d, c];
-        for i in 0..100u32 {
-            assert!(table.close(live.remove(0)));
-            live.push(table.open(i));
-            assert_eq!(table.active(), 3);
-        }
-        assert!(table.slots.len() <= 3, "churn must not grow the table");
-    }
-
-    #[test]
-    fn take_hands_back_state_for_migration() {
-        let mut table: SessionTable<String> = SessionTable::new();
-        let id = table.open("payload".into());
-        let taken = table.take(id).expect("open handle");
-        assert_eq!(*taken.lock().unwrap(), "payload");
-        assert!(table.take(id).is_none(), "second take finds nothing");
-        assert_eq!(table.active(), 0);
-        let mut other: SessionTable<String> = SessionTable::new();
-        let moved = other.insert(Arc::clone(&taken));
-        assert!(
-            Arc::ptr_eq(other.resolve(moved).unwrap(), &taken),
-            "a migration moves the session itself, not a copy"
-        );
-        let reused = table.open("next".into());
-        assert_eq!(reused.slot, id.slot);
-        assert_ne!(reused.generation, id.generation);
-    }
 
     #[test]
     fn mode_and_outcome_tags_roundtrip() {

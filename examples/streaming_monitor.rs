@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example streaming_monitor`
 
 use pmu_outage::detect::detector::default_config_for;
-use pmu_outage::detect::stream::StreamEvent;
+use pmu_outage::detect::stream::{StreamConfig, StreamEvent};
 use pmu_outage::prelude::*;
 
 fn main() {
@@ -39,16 +39,18 @@ fn main() {
         let c = clustering.cluster_of(case.endpoints.0);
         Mask::with_missing(net.n_buses(), clustering.members(c))
     };
-    let cfg = EngineConfig::default();
+    // Feeds vote with the default k-of-m configuration.
+    let voting = StreamConfig::default();
     let mut fleet = Fleet::new(FleetConfig::default());
-    let grid = fleet.add_grid("ieee14", online, &cfg).expect("fresh grid name");
+    let grid =
+        fleet.add_grid("ieee14", online, &EngineConfig::default()).expect("fresh grid name");
     let feed = FeedKey { grid, feed: 0 };
     fleet.open_feed(feed).expect("fresh feed key");
     println!(
         "fleet serving {} (k-of-m {}/{}), feed {} open",
         fleet.grid_system(grid),
-        cfg.stream.votes,
-        cfg.stream.window,
+        voting.votes,
+        voting.window,
         fleet.feed_label(feed),
     );
 

@@ -12,6 +12,12 @@ echo "== cargo build --release =="
 # CLI binaries the later steps execute.
 cargo build --release --workspace
 
+echo "== e2ebench compile check =="
+# e2ebench is its own workspace, so `cargo test` never compiles it; this
+# catches a break in the serving API it imports before a benchmark run.
+CARGO_TARGET_DIR=target/e2ebench-check cargo check --offline --quiet \
+  --manifest-path e2ebench/Cargo.toml
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

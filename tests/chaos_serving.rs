@@ -11,7 +11,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use pmu_outage::detect::detector::default_config_for;
-use pmu_outage::detect::stream::StreamEvent;
+use pmu_outage::detect::stream::{StreamConfig, StreamEvent};
 use pmu_outage::prelude::*;
 use pmu_outage::serve::{BadSampleReason, GridId};
 
@@ -152,7 +152,7 @@ fn event_raises_after_blackout_lifts() {
     let raised_at = first_raise.expect("outage must raise after the blackout lifts");
     assert!(raised_at >= 12, "raise at {raised_at} needs post-blackout evidence");
     assert!(
-        raised_at < 12 + EngineConfig::default().stream.window,
+        raised_at < 12 + StreamConfig::default().window,
         "raise within one voting window of the lift, got {raised_at}"
     );
     assert!(fleet.health(sid).unwrap().snapshot.active);
@@ -336,13 +336,10 @@ fn blackout_mid_outage_dumps_one_tagged_incident() {
         incident: pmu_outage::serve::IncidentConfig {
             dir: Some(dir.clone()),
             on_raise: false,
-            on_degraded: false,
             on_dark: true,
             on_bad_data: false,
             reject_spike_ratio: None,
-            latency_slo_us: None,
         },
-        ..EngineConfig::default()
     };
     let (fleet, grid) = one_grid(bundle, &cfg);
     let sid = open(&fleet, grid, 0);

@@ -17,7 +17,7 @@ use pmu_numerics::par;
 fn run_once(workers: usize) -> (String, Vec<MethodPoint>) {
     par::set_threads(workers);
     let setup = SystemSetup::build("ieee14", EvalScale::Fast, 0xD00D);
-    let model_json = setup.detector.to_json().expect("serialize detector");
+    let model_json = serde_json::to_string(&setup.detector).expect("serialize detector");
     let points = fig5(std::slice::from_ref(&setup), EvalScale::Fast);
     par::set_threads(0);
     (model_json, points)
