@@ -1,7 +1,6 @@
-//! `perfbench` — lightweight wall-clock timing harness.
+//! `perfbench` — the workspace's wall-clock timing harness.
 //!
-//! Unlike the criterion benches (which need `cargo bench` and an opt-in
-//! env var), this is a plain binary with zero benchmarking dependencies:
+//! A plain binary with zero benchmarking dependencies:
 //! `std::time::Instant` plus serde for the report. It times the things
 //! future PRs care about for the perf trajectory and writes
 //! `BENCH_repro.json` at the repo root:

@@ -12,7 +12,7 @@ pub enum EllipseMethod {
     /// (fast; the default).
     ScaledCovariance,
     /// Khachiyan's minimum-volume enclosing ellipsoid (tighter; used in
-    /// the ablation benches).
+    /// `repro ablations`).
     MinVolume,
 }
 
@@ -63,7 +63,7 @@ pub struct DetectorConfig {
     /// Edge filter: a candidate line survives only if its score (sum of
     /// endpoint proximities) is within this factor of the best line.
     pub edge_ratio: f64,
-    /// Apply the Eq. (11) scaling (`false` only in the ablation bench).
+    /// Apply the Eq. (11) scaling (`false` only in `repro ablations`).
     pub scale_proximities: bool,
     /// Ratio test backing the threshold decision: a sample is also flagged
     /// as an outage when the best outage-subspace proximity undercuts the

@@ -8,7 +8,7 @@
 //!
 //! Two fitting methods are provided: a covariance ellipse inflated to the
 //! farthest training point (fast, the default) and Khachiyan's
-//! minimum-volume enclosing ellipsoid (tight; used by the ablation bench).
+//! minimum-volume enclosing ellipsoid (tight; used by `repro ablations`).
 
 use crate::config::EllipseMethod;
 use crate::error::DetectError;

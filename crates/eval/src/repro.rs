@@ -5,7 +5,6 @@
 //! ```text
 //! repro [FIGURES] [--systems a,b,c] [--scale fast|standard|paper]
 //!       [--threads N] [--artifacts DIR] [--json PATH] [--trace PATH]
-//!       [--dense-flow]
 //!
 //! FIGURES     comma-separated subset of fig4,fig5,fig7,fig8,fig9,fig10,
 //!             extensions,ablations,robustness (default: the six figures)
@@ -20,10 +19,6 @@
 //! --trace     write a structured JSONL trace (spans, events, metrics) to
 //!             PATH; equivalent to setting PMU_TRACE=PATH. Enables the
 //!             end-of-run metrics summary on stderr.
-//! --dense-flow
-//!             use the dense reference linear solver for the AC power flow
-//!             instead of the sparse fast path (equivalent to setting
-//!             PMU_DENSE_FLOW=1); for parity and perf comparison.
 //! ```
 
 use crate::ablations::{ablation_table, run_ablations};
@@ -87,9 +82,6 @@ pub fn run(args: Vec<String>) {
             }
             "--json" => json_path = Some(it.next().expect("--json needs a path")),
             "--trace" => trace_path = Some(it.next().expect("--trace needs a path")),
-            "--dense-flow" => {
-                pmu_flow::set_default_linear_solver(Some(pmu_flow::LinearSolver::Dense));
-            }
             other if other.starts_with("fig")
                 || other.starts_with("abl")
                 || other.starts_with("ext")

@@ -19,14 +19,13 @@
 //!   pivoted LU for that iteration.
 //! - **Dense.** The original dense-Jacobian + partial-pivoting path,
 //!   retained behind [`LinearSolver::Dense`] for parity testing exactly
-//!   like `matmul_reference` backs the blocked matmul.
+//!   like `matmul_reference` backs the blocked matmul. It is chosen per
+//!   call through [`AcConfig::linear_solver`]; there is no process-wide
+//!   switch.
 
 // Indexed loops are the clearest expression of the dense numerical
 // kernels in this module.
 #![allow(clippy::needless_range_loop)]
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::error::FlowError;
 use crate::Result;
@@ -44,42 +43,6 @@ pub enum LinearSolver {
     /// Dense Jacobian and dense LU with partial pivoting (the reference
     /// path, kept for parity testing).
     Dense,
-}
-
-/// Process-wide default for [`AcConfig::default`]'s `linear_solver`:
-/// `0` = unset (env / sparse), `1` = sparse, `2` = dense.
-static DEFAULT_SOLVER: AtomicU8 = AtomicU8::new(0);
-
-/// Override the linear solver that [`AcConfig::default`] selects
-/// (`None` clears the override). Used by `repro --dense-flow` and parity
-/// harnesses; explicit `AcConfig { linear_solver, .. }` always wins.
-pub fn set_default_linear_solver(solver: Option<LinearSolver>) {
-    let code = match solver {
-        None => 0,
-        Some(LinearSolver::Sparse) => 1,
-        Some(LinearSolver::Dense) => 2,
-    };
-    DEFAULT_SOLVER.store(code, Ordering::SeqCst);
-}
-
-/// The solver [`AcConfig::default`] resolves to: the
-/// [`set_default_linear_solver`] override, then the `PMU_DENSE_FLOW`
-/// environment variable (any value but `0`/empty selects dense), then
-/// sparse.
-pub fn default_linear_solver() -> LinearSolver {
-    match DEFAULT_SOLVER.load(Ordering::SeqCst) {
-        1 => LinearSolver::Sparse,
-        2 => LinearSolver::Dense,
-        _ => {
-            static ENV_DENSE: OnceLock<bool> = OnceLock::new();
-            let dense = *ENV_DENSE.get_or_init(|| {
-                std::env::var("PMU_DENSE_FLOW")
-                    .map(|v| !v.trim().is_empty() && v.trim() != "0")
-                    .unwrap_or(false)
-            });
-            if dense { LinearSolver::Dense } else { LinearSolver::Sparse }
-        }
-    }
 }
 
 /// Configuration of the Newton–Raphson solver.
@@ -100,8 +63,7 @@ pub struct AcConfig {
     /// switched to PQ at the violated limit and the flow is re-solved
     /// (up to a few outer rounds), as MATPOWER's `ENFORCE_Q_LIMS` does.
     pub enforce_q_limits: bool,
-    /// Linear-algebra path for the Newton step. Defaults to
-    /// [`default_linear_solver`] (sparse unless overridden).
+    /// Linear-algebra path for the Newton step (sparse by default).
     pub linear_solver: LinearSolver,
     /// Reuse the previous converged state of an [`AcSolver`] as the
     /// initial guess for the next `solve` call. Consecutive solves in a
@@ -109,7 +71,7 @@ pub struct AcConfig {
     /// warm starting roughly halves the Newton iterations; PV/slack
     /// setpoints are still refreshed from the network every call, and a
     /// failed solve always cold-starts the next one. Off by default —
-    /// one-shot `solve_ac` callers and the micro benches measure the
+    /// one-shot `solve_ac` callers and perfbench's `nr_solve` measure the
     /// cold-start cost; scenario generation opts in.
     pub warm_start: bool,
 }
@@ -121,7 +83,7 @@ impl Default for AcConfig {
             max_iter: 30,
             flat_start: false,
             enforce_q_limits: false,
-            linear_solver: default_linear_solver(),
+            linear_solver: LinearSolver::Sparse,
             warm_start: false,
         }
     }
@@ -915,17 +877,6 @@ mod tests {
             Err(FlowError::Grid(_)) => {}
             other => panic!("expected Grid error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn default_solver_override_roundtrip() {
-        // Explicit configs are unaffected by the process-wide default.
-        set_default_linear_solver(Some(LinearSolver::Dense));
-        assert_eq!(default_linear_solver(), LinearSolver::Dense);
-        assert_eq!(AcConfig::default().linear_solver, LinearSolver::Dense);
-        set_default_linear_solver(Some(LinearSolver::Sparse));
-        assert_eq!(default_linear_solver(), LinearSolver::Sparse);
-        set_default_linear_solver(None);
     }
 }
 

@@ -9,7 +9,6 @@
 //!
 //! - [`ac`] — Newton–Raphson AC power flow.
 //! - [`dc`] — DC (linearized) power flow.
-//! - [`fdpf`] — fast-decoupled (XB) power flow.
 //! - [`cascade`] — overload-cascade simulation and N-1 screening.
 //! - [`flows`] — per-branch complex power flows from a solved state.
 //! - [`error`] — solver error type.
@@ -21,15 +20,10 @@ pub mod ac;
 pub mod cascade;
 pub mod dc;
 pub mod error;
-pub mod fdpf;
 pub mod flows;
 
-pub use ac::{
-    default_linear_solver, set_default_linear_solver, solve_ac, AcConfig, AcSolution,
-    AcSolver, LinearSolver,
-};
+pub use ac::{solve_ac, AcConfig, AcSolution, AcSolver, LinearSolver};
 pub use dc::{solve_dc, DcSolution};
-pub use fdpf::{solve_fdpf, FdpfConfig, FdpfSolution};
 pub use error::FlowError;
 
 /// Convenience result alias for solver operations.

@@ -587,4 +587,18 @@ pub(crate) mod tests {
         let bundle = ModelBundle::train(&data, &gen, &det_cfg, &mlr_cfg).unwrap();
         assert_eq!(bundle.key().unwrap(), k);
     }
+
+    /// The store key of the ieee14 bundle that `repro --scale fast` and
+    /// `pmu-outage train ieee14` build (`EvalScale::Fast.gen_config(0xC0FFEE)`,
+    /// spelled out here because `pmu-eval` depends on this crate). Every
+    /// stored artifact is addressed by such a key, so a change to this
+    /// literal orphans every artifact store: update it only on purpose,
+    /// and record it in the change log.
+    #[test]
+    fn fast_ieee14_key_is_pinned() {
+        let net = pmu_grid::cases::ieee14().unwrap();
+        let gen = GenConfig { train_len: 16, test_len: 5, seed: 0xC0FFEE, ..GenConfig::default() };
+        let key = bundle_key(&net, &gen, &default_config_for(&net), &MlrConfig::default());
+        assert_eq!(key.unwrap(), 0xacf6_1c0d_9069_3d29);
+    }
 }

@@ -29,20 +29,17 @@
 //!
 //! Corrupted, truncated, version-skewed or wrong-topology artifacts all
 //! surface as typed [`ModelError`]s — never a panic, and never a silently
-//! wrong detector. Transient filesystem failures are the one retryable
-//! class: [`retry`] bounds the re-reads with exponential backoff.
+//! wrong detector.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod bundle;
 mod envelope;
-pub mod retry;
 pub mod snapshot;
 pub mod store;
 
 pub use bundle::{bundle_key, ModelBundle, ModelError, ReuseStats, SCHEMA_VERSION};
-pub use retry::{with_retry, RetryPolicy};
 pub use snapshot::{SessionSnapshot, SESSION_SCHEMA_VERSION};
 pub use store::{default_store, set_store_policy, ArtifactStore, BuildOutcome, StorePolicy};
 

@@ -67,10 +67,10 @@ pub struct SessionSnapshot {
     /// ([`fp_hex`]).
     pub feed: String,
     /// Degraded-mode state tag (`"healthy"`, `"degraded_missing"`,
-    /// `"degraded_rejected"`, `"dark"`).
+    /// `"degraded_rejected"`, `"degraded_baddata"`, `"dark"`).
     pub mode: String,
     /// Recent push outcomes driving the mode machine, oldest first
-    /// (`"scored"` / `"missing"` / `"rejected"`).
+    /// (`"scored"` / `"missing"` / `"rejected"` / `"baddata"`).
     pub recent: Vec<String>,
     /// Samples accepted into the voting window.
     pub pushed: usize,

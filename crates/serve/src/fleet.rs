@@ -921,9 +921,18 @@ mod tests {
 
         // More recent outcomes than the degrade window holds: left in, the
         // surplus would never be trimmed and would outvote clean pushes.
-        let mut overlong = snap;
+        let mut overlong = snap.clone();
         overlong.recent = vec!["missing".into(); 2 * DEGRADE_WINDOW];
         assert!(matches!(other.restore_feed(&overlong), Err(ServeError::Snapshot(_))));
+
+        // Layers that disagree: every accepted push advances both the
+        // session's and the monitor's count, and `recent` decides the mode.
+        let mut miscounted = snap.clone();
+        miscounted.pushed += 2;
+        assert!(matches!(other.restore_feed(&miscounted), Err(ServeError::Snapshot(_))));
+        let mut misnamed = snap;
+        misnamed.mode = "dark".into();
+        assert!(matches!(other.restore_feed(&misnamed), Err(ServeError::Snapshot(_))));
     }
 
     /// Mode-change observations name the feed, not its shard: two feeds,

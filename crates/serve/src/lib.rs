@@ -31,9 +31,7 @@
 //! [`ServeError::BadSample`]; feeds carry a degraded-mode state machine
 //! ([`FeedMode`]) driven by recent missing, rejection and bad-data
 //! ratios; and a closed feed key fails with [`ServeError::UnknownFeed`]
-//! instead of addressing a stranger's session. Bundle loads that should
-//! retry transient IO call
-//! [`ModelBundle::load_with_retry`](pmu_model::ModelBundle::load_with_retry).
+//! instead of addressing a stranger's session.
 //!
 //! Everything is observable: `serve.sessions_active`,
 //! `serve.detect_latency_us`, `serve.samples_rejected`,

@@ -319,8 +319,11 @@ impl SessionState {
     ///
     /// # Errors
     /// A description of the offending field when the snapshot carries an
-    /// unknown mode or outcome tag, or more recent outcomes than the
-    /// degrade window holds.
+    /// unknown mode or outcome tag, more recent outcomes than the degrade
+    /// window holds, or layers no push sequence produces: a `pushed`
+    /// count other than the monitor's `samples_seen` (every accepted push
+    /// advances both), or a mode other than the one its `recent` outcomes
+    /// decide.
     pub(crate) fn from_snapshot(
         monitor: StreamingDetector,
         snap: &SessionSnapshot,
@@ -340,7 +343,14 @@ impl SessionState {
                 Outcome::from_tag(t).ok_or_else(|| format!("unknown outcome tag {t:?}"))
             })
             .collect::<Result<VecDeque<_>, _>>()?;
-        Ok(SessionState {
+        if snap.pushed != monitor.samples_seen() {
+            return Err(format!(
+                "{} pushes accepted but the monitor saw {} samples",
+                snap.pushed,
+                monitor.samples_seen()
+            ));
+        }
+        let state = SessionState {
             monitor,
             mode,
             recent,
@@ -348,7 +358,16 @@ impl SessionState {
             rejected: snap.rejected,
             ring: Recorder::new(FEED_RING_CAPACITY),
             incident_open: snap.incident_open,
-        })
+        };
+        let decided = state.decide();
+        if decided != mode {
+            return Err(format!(
+                "mode {:?} disagrees with its recent outcomes, which decide {:?}",
+                snap.mode,
+                decided.tag()
+            ));
+        }
+        Ok(state)
     }
 }
 

@@ -2,7 +2,8 @@
 //! real snapshot: damaged envelope text fed to
 //! [`SessionSnapshot::from_json`], and decoded snapshots with mutated
 //! fields fed to [`Fleet::restore_feed`]. Every case must end in a typed
-//! error or in a restored feed that answers a push; none may panic.
+//! error or in a restored feed that answers a push with its session and
+//! monitor counts in step; none may panic.
 
 use std::sync::OnceLock;
 
@@ -66,7 +67,7 @@ fn fresh_fleet() -> Fleet {
 }
 
 /// Restore `snap` into a fresh fleet: either a typed error, or a feed
-/// that answers one clean push.
+/// that answers one clean push and counts it in both layers.
 fn restores_or_fails_typed(snap: &SessionSnapshot) -> Result<(), TestCaseError> {
     let fleet = fresh_fleet();
     match fleet.restore_feed(snap) {
@@ -74,7 +75,8 @@ fn restores_or_fails_typed(snap: &SessionSnapshot) -> Result<(), TestCaseError> 
             let answers = fleet.push_batch(&[(key, fixture().sample.clone())]);
             prop_assert_eq!(answers.len(), 1);
             prop_assert!(answers[0].is_ok(), "a clean push was refused: {:?}", answers[0]);
-            prop_assert!(fleet.health(key).is_some());
+            let health = fleet.health(key).expect("restored feed is open");
+            prop_assert_eq!(health.pushed, health.snapshot.samples_seen);
         }
         Err(ServeError::Snapshot(_) | ServeError::UnknownGrid(_)) => {}
         Err(e) => prop_assert!(false, "untyped restore failure: {e}"),
@@ -83,8 +85,10 @@ fn restores_or_fails_typed(snap: &SessionSnapshot) -> Result<(), TestCaseError> 
 }
 
 /// Apply mutation `field` (drawn with `pick`) to a decoded snapshot.
-/// Counters get two of the eleven fields: they are the mutation most
-/// often masked by another one in the same case.
+/// Counters get two of the twelve fields: they are the mutation most
+/// often masked by another one in the same case. Field 11 moves `pushed`
+/// and `stream.samples_seen` together, so extreme counters still restore
+/// and the saturating push path stays covered.
 fn mutate(snap: &mut SessionSnapshot, field: usize, pick: u64) {
     const MODES: [&str; 7] = [
         "healthy",
@@ -154,6 +158,11 @@ fn mutate(snap: &mut SessionSnapshot, field: usize, pick: u64) {
                 snap.stream.lines.clear();
             }
         }
+        11 => {
+            let value = COUNTS[p % COUNTS.len()];
+            snap.pushed = value;
+            snap.stream.samples_seen = value;
+        }
         _ => unreachable!("field {field}"),
     }
 }
@@ -187,7 +196,7 @@ proptest! {
     /// (b) Decoded snapshots with one to three fields mutated.
     #[test]
     fn mutated_snapshots_fail_typed_or_restore(
-        mutations in proptest::collection::vec((0usize..11, any::<u64>()), 1..4),
+        mutations in proptest::collection::vec((0usize..12, any::<u64>()), 1..4),
     ) {
         let mut snap = fixture().snapshot.clone();
         for (field, pick) in mutations {

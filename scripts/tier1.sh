@@ -31,6 +31,13 @@ PMU_TRACE="$trace_dir/tier1_trace.jsonl" cargo test -q --test trace_integration
 test -s "$trace_dir/tier1_trace.jsonl"
 echo "trace written: $(wc -l < "$trace_dir/tier1_trace.jsonl") records"
 
+echo "== CLI smoke: solve, and unknown options refused =="
+solve_out="$(./target/release/pmu-outage solve ieee14)"
+grep -q "Newton-Raphson converged" <<<"$solve_out" || { echo "solve did not converge"; exit 1; }
+if ./target/release/pmu-outage solve ieee14 --fdpf >/dev/null 2>&1; then
+  echo "an unknown option was silently accepted"; exit 1
+fi
+
 echo "== artifact store round-trip smoke =="
 art_dir="$trace_dir/artifacts"
 # Cold store: training must run, and the reload-parity check must pass.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pmu-outage info <case>                       grid summary + valid outages
-//! pmu-outage solve <case> [--fdpf]             power-flow state
+//! pmu-outage solve <case>                      power-flow state
 //! pmu-outage placement <case>                  greedy PMU placement
 //! pmu-outage train <case> [--artifacts DIR] [--model PATH]
 //!                         [--scale S] [--seed N]
@@ -27,6 +27,7 @@
 //! (default `fast`); `--seed` defaults to the repro seed, so artifacts
 //! trained here are the same ones `repro --artifacts` reuses. When
 //! `--artifacts` is absent, `PMU_ARTIFACTS` names the store directory.
+//! An option no subcommand reads is an error, not silently ignored.
 //!
 //! `serve` stands up a multi-grid [`Fleet`]: every positional case plus
 //! every repeated `--grid SYSTEM` flag loads its bundle from the artifact
@@ -48,7 +49,7 @@
 
 use pmu_outage::detect::stream::StreamEvent;
 use pmu_outage::eval::EvalScale;
-use pmu_outage::flow::{solve_ac, solve_fdpf, AcConfig, FdpfConfig};
+use pmu_outage::flow::{solve_ac, AcConfig};
 use pmu_outage::grid::parser::parse_case;
 use pmu_outage::grid::pmu_coverage::{coverage, greedy_placement};
 use pmu_outage::model::{
@@ -72,6 +73,28 @@ fn load_network(spec: &str) -> Result<Network, String> {
     let text = std::fs::read_to_string(spec)
         .map_err(|e| format!("cannot read case file {spec}: {e}"))?;
     parse_case(spec, &text).map_err(|e| e.to_string())
+}
+
+/// Every option the subcommands other than `repro` read; these take the
+/// next argument as their value.
+const VALUE_OPTIONS: [&str; 13] = [
+    "--artifacts", "--model", "--scale", "--seed", "--outage", "--grid", "--bundle", "--feeds",
+    "--ticks", "--shards", "--listen", "--incidents", "--hold-secs",
+];
+/// The options that stand alone.
+const FLAG_OPTIONS: [&str; 2] = ["--dark", "--snapshot-check"];
+
+/// Refuse any `--` option outside the two lists above.
+fn check_options(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_OPTIONS.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with("--") && !FLAG_OPTIONS.contains(&arg.as_str()) {
+            return Err(format!("unknown option {arg}\n{}", usage()));
+        }
+    }
+    Ok(())
 }
 
 fn usage() -> String {
@@ -155,12 +178,17 @@ fn run() -> Result<(), String> {
         pmu_outage::eval::repro::run(args[1..].to_vec());
         return Ok(());
     }
+    check_options(&args[1..])?;
 
     // `serve` takes an optional case positional (it can be driven purely
     // by `--grid`/`--bundle` flags); every other subcommand requires one.
     let case_spec = args.get(1).map(String::as_str);
-    let flag = |name: &str| args.iter().any(|a| a == name);
+    let flag = |name: &str| {
+        debug_assert!(FLAG_OPTIONS.contains(&name), "{name} missing from FLAG_OPTIONS");
+        args.iter().any(|a| a == name)
+    };
     let opt = |name: &str| {
+        debug_assert!(VALUE_OPTIONS.contains(&name), "{name} missing from VALUE_OPTIONS");
         args.iter()
             .position(|a| a == name)
             .and_then(|p| args.get(p + 1))
@@ -251,18 +279,12 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "solve" => {
-            if flag("--fdpf") {
-                let sol = solve_fdpf(&net, &FdpfConfig::default()).map_err(|e| e.to_string())?;
-                println!("fast-decoupled converged in {} sweeps", sol.sweeps);
-                print_state(&net, &sol.vm, &sol.va);
-            } else {
-                let sol = solve_ac(&net, &AcConfig::default()).map_err(|e| e.to_string())?;
-                println!(
-                    "Newton-Raphson converged in {} iterations (slack P = {:.4} p.u.)",
-                    sol.iterations, sol.slack_p
-                );
-                print_state(&net, &sol.vm, &sol.va);
-            }
+            let sol = solve_ac(&net, &AcConfig::default()).map_err(|e| e.to_string())?;
+            println!(
+                "Newton-Raphson converged in {} iterations (slack P = {:.4} p.u.)",
+                sol.iterations, sol.slack_p
+            );
+            print_state(&net, &sol.vm, &sol.va);
             Ok(())
         }
         "placement" => {
